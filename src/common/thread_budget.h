@@ -1,14 +1,14 @@
-// Process-wide worker-thread budget shared by the sweep runner's run-level
-// parallelism and the sharded simulator's window workers.
+// Process-wide worker-thread budget for the sweep runner's run-level
+// parallelism (each simulation itself is single-threaded).
 //
-// Both layers want "as many threads as there are spare cores", but nesting
-// them naively oversubscribes: a sweep running R configs in parallel, each
-// with S shard workers, would spawn R*S threads on a machine with far fewer
-// cores. The budget is a simple atomic pool initialized to
-// hardware_concurrency - 1 (the caller's own thread is not counted):
-// acquire takes up to `want` threads, release returns them. Layers that
-// start first get the cores; inner layers degrade gracefully to zero extra
-// workers (inline execution) instead of thrashing.
+// Every auto-sized sweep wants "as many threads as there are spare cores",
+// but sweeps can overlap — a sweep started from inside another sweep's
+// worker, or concurrent sweeps from independent callers — and naively each
+// would spawn its own full pool. The budget is a simple atomic pool
+// initialized to hardware_concurrency - 1 (the caller's own thread is not
+// counted): acquire takes up to `want` threads, release returns them. The
+// sweep that starts first gets the cores; later ones degrade gracefully to
+// zero extra workers (inline execution) instead of thrashing.
 #ifndef LAMINAR_SRC_COMMON_THREAD_BUDGET_H_
 #define LAMINAR_SRC_COMMON_THREAD_BUDGET_H_
 

@@ -18,10 +18,9 @@ std::vector<SystemReport> RunExperiments(const std::vector<RlSystemConfig>& conf
     return reports;
   }
 
-  // Auto-sized sweeps draw from the process-wide thread budget shared with
-  // the sharded simulator's worker pools, so a sweep of sharded configs
-  // doesn't oversubscribe (run-level parallelism wins; inner shard pools
-  // degrade to inline). Explicit num_threads bypasses the budget.
+  // Auto-sized sweeps draw from the process-wide thread budget, so
+  // overlapping sweeps don't oversubscribe the host. Explicit num_threads
+  // bypasses the budget.
   int budget_grant = 0;
   size_t threads = options.num_threads;
   if (threads == 0) {

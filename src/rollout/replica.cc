@@ -62,7 +62,7 @@ void RolloutReplica::RestoreContinuation(uint16_t kind, const ContinuationPayloa
       // The advance metadata (start/steps/latency) was adopted by
       // SnapshotState; only the event itself needs re-seating.
       LAMINAR_CHECK_EQ(p.a, advance_steps_);
-      advance_event_ = sim_->ScheduleContinuationAtOn(config_.shard, at, comp, kind, p);
+      advance_event_ = sim_->ScheduleContinuationAt(at, comp, kind, p);
       return;
     case kContEnvRejoin: {
       // The payload carries the env seq — the stable key into env_waiting_
@@ -73,7 +73,7 @@ void RolloutReplica::RestoreContinuation(uint16_t kind, const ContinuationPayloa
           env_waiting_.Get(FindEnvBySeq(static_cast<uint64_t>(p.a)));
       LAMINAR_CHECK(entry != nullptr)
           << "pending env rejoin for unknown seq " << p.a;
-      entry->event = sim_->ScheduleContinuationAtOn(config_.shard, at, comp, kind, p);
+      entry->event = sim_->ScheduleContinuationAt(at, comp, kind, p);
       return;
     }
   }
@@ -581,8 +581,8 @@ void RolloutReplica::ScheduleAdvance() {
   advance_stall_ = pending_stall_seconds_;
   pending_stall_seconds_ = 0.0;
   TouchMetrics();
-  advance_event_ = sim_->ScheduleContinuationAfterOn(
-      config_.shard, duration, ContinuationComponentId(kContFamilyReplica, config_.id),
+  advance_event_ = sim_->ScheduleContinuationAfter(
+      duration, ContinuationComponentId(kContFamilyReplica, config_.id),
       kContAdvance, ContinuationPayload::Of(steps));
 }
 
@@ -704,9 +704,8 @@ void RolloutReplica::FinishSegment(TrajectoryWork work) {
     // The event payload names the entry by seq, not by slab handle: the seq
     // is stable across snapshot adoption (handles are a memory-layout
     // artifact), so the descriptor serializes and re-mints byte-exactly.
-    stored->event = sim_->ScheduleContinuationAtOn(
-        config_.shard, stored->at,
-        ContinuationComponentId(kContFamilyReplica, config_.id), kContEnvRejoin,
+    stored->event = sim_->ScheduleContinuationAt(
+        stored->at, ContinuationComponentId(kContFamilyReplica, config_.id), kContEnvRejoin,
         ContinuationPayload::Of(static_cast<int64_t>(stored->seq)));
     return;
   }

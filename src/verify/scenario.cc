@@ -51,7 +51,8 @@ const char* SamplerKey(SamplerKind sampler) {
 
 // Every key the parser dispatches on. Anything outside this list warns and
 // is skipped (forward compatibility with corpus files written by newer
-// binaries). A key added to the dispatch chain but forgotten here would be
+// binaries, and with retired keys such as shards= that older binaries
+// wrote). A key added to the dispatch chain but forgotten here would be
 // silently skipped — which the byte-exact round-trip test catches, since the
 // re-emitted default would no longer match the input.
 bool KnownScenarioKey(const std::string& key) {
@@ -71,9 +72,8 @@ bool KnownScenarioKey(const std::string& key) {
       "rate_master_fail", "rate_trainer_fail",
       "rate_machine_stall", "rate_link_flap",
       "rate_replica_slow", "rate_message_drop",
-      "crash_restart_rate", "shards",
-      "shard_lane_control",
-      "snapshot_at",    "warmup",
+      "crash_restart_rate", "snapshot_at",
+      "warmup",
       "measure",        "config_seed",
       "diff_sync",      "diff_repack",
       "plan_cases",     "serving",
@@ -278,35 +278,24 @@ std::string ScenarioToText(const Scenario& scn) {
   emit_double("rate_replica_slow", cfg.chaos.replica_slow_per_hour);
   emit_double("rate_message_drop", cfg.chaos.message_drop_per_hour);
   if (cfg.chaos.crash_restart_per_hour != 0.0) {
-    // Like shards= below: emitted only when armed, so pre-existing corpus
-    // files and their byte-exact round-trips are untouched.
+    // Emitted only when armed, so pre-existing corpus files and their
+    // byte-exact round-trips are untouched.
     emit_double("crash_restart_rate", cfg.chaos.crash_restart_per_hour);
   }
   out << "warmup=" << cfg.warmup_iterations << "\n";
   out << "measure=" << cfg.measure_iterations << "\n";
-  if (cfg.shards != 1) {
-    // Emitted only when sharded so pre-existing corpus files and their
-    // byte-exact round-trips are untouched.
-    out << "shards=" << cfg.shards << "\n";
-  }
-  if (!cfg.shard_lane_control) {
-    // Armed-only, like shards=: emitted only when lane-riding control is
-    // explicitly disabled, so pre-existing corpus files round-trip
-    // byte-identically.
-    out << "shard_lane_control=0\n";
-  }
   if (cfg.snapshot_at_seconds != 0.0) {
     emit_double("snapshot_at", cfg.snapshot_at_seconds);
   }
   if (cfg.restore_mode != RestoreMode::kDirect) {
-    // Armed-only, like shards=: pre-existing corpus files round-trip
-    // byte-identically. The axis pins which recovery leg the fuzzer's
+    // Armed-only, like crash_restart_rate=: pre-existing corpus files
+    // round-trip byte-identically. The axis pins which recovery leg the fuzzer's
     // snapshot-diff oracle drives through restore_from.
     out << "restore_mode=replay\n";
   }
   if (cfg.serving.enabled) {
-    // Armed-only, like shards= and crash_restart_rate=: serving-off corpus
-    // files round-trip byte-identically to what older binaries wrote.
+    // Armed-only, like crash_restart_rate=: serving-off corpus files
+    // round-trip byte-identically to what older binaries wrote.
     out << "serving=1\n";
     emit_double("serving_rate", cfg.serving.base_rate_per_sec);
     emit_double("serving_amplitude", cfg.serving.diurnal_amplitude);
@@ -461,10 +450,6 @@ bool ScenarioFromText(const std::string& text, Scenario* out, std::string* error
       cfg.chaos.message_drop_per_hour = num;
     } else if (key == "crash_restart_rate") {
       cfg.chaos.crash_restart_per_hour = num;
-    } else if (key == "shards") {
-      cfg.shards = static_cast<int>(num);
-    } else if (key == "shard_lane_control") {
-      cfg.shard_lane_control = num != 0.0;
     } else if (key == "snapshot_at") {
       cfg.snapshot_at_seconds = num;
     } else if (key == "serving") {

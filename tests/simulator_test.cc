@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -33,6 +34,35 @@ TEST(SimulatorTest, TiesBreakInSchedulingOrder) {
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(order[i], i);
   }
+
+  // Equal-time events minted inside a callback, by top-level code between
+  // Step() calls, and by RearmCurrentAfter share one schedule sequence:
+  // they fire in the order they were scheduled, whoever scheduled them.
+  Simulator s2;
+  std::vector<std::string> fired;
+  const SimTime t2(2.0);
+  s2.ScheduleAt(SimTime(1.0), [&] {
+    fired.push_back("a");
+    s2.ScheduleAt(t2, [&] {
+      fired.push_back("from_a");
+      s2.ScheduleAfter(0.0, [&] { fired.push_back("from_a_at_t2"); });
+    });
+  });
+  bool rearmed = false;
+  s2.ScheduleAt(SimTime(1.0), [&] {
+    fired.push_back(rearmed ? "rearm" : "r");
+    if (!rearmed) {
+      rearmed = true;
+      s2.RearmCurrentAfter(1.0);
+    }
+  });
+  ASSERT_TRUE(s2.Step());  // a: schedules from_a
+  s2.ScheduleAt(t2, [&] { fired.push_back("top_1"); });
+  ASSERT_TRUE(s2.Step());  // r: re-arms itself for t2
+  s2.ScheduleAt(t2, [&] { fired.push_back("top_2"); });
+  s2.RunUntilIdle();
+  EXPECT_EQ(fired, (std::vector<std::string>{"a", "r", "from_a", "top_1", "rearm",
+                                             "top_2", "from_a_at_t2"}));
 }
 
 TEST(SimulatorTest, CancelPreventsExecution) {

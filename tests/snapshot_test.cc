@@ -1,6 +1,6 @@
 // Snapshot suite (DESIGN.md §13): LMSNAP1 byte-format round trips and
 // tamper detection, the three-mode SnapshotTx contract, RNG state capture,
-// full-system snapshots that are byte-identical across shard counts and
+// full-system snapshots that are byte-identical across reruns and
 // invisible in run fingerprints, verify-mode restore with zero mismatches,
 // and scripted kCrashRestart drills audited by the invariant checker.
 #include "src/snapshot/snapshot.h"
@@ -224,29 +224,6 @@ RlSystemConfig SnapConfig() {
   return cfg;
 }
 
-TEST(SystemSnapshotTest, BlobIsByteIdenticalAcrossShardCounts) {
-  RlSystemConfig base = SnapConfig();
-  SystemReport probe = RunExperiment(base);
-  ASSERT_GT(probe.simulated_seconds, 0.0);
-  double t = 0.5 * probe.simulated_seconds;
-
-  RlSystemConfig serial = base;
-  serial.snapshot_at_seconds = t;
-  SystemReport a = RunExperiment(serial);
-  ASSERT_NE(a.snapshot, nullptr);
-  ASSERT_FALSE(a.snapshot->empty());
-  EXPECT_GT(a.snapshot_taken_at_seconds, 0.0);
-
-  RlSystemConfig sharded = serial;
-  sharded.shards = 4;
-  SystemReport b = RunExperiment(sharded);
-  ASSERT_NE(b.snapshot, nullptr);
-  // The barrier lands between shard windows, so the sharded run pauses at
-  // exactly the serial stop point and the blobs match byte for byte.
-  EXPECT_EQ(*a.snapshot, *b.snapshot);
-  EXPECT_EQ(a.snapshot_taken_at_seconds, b.snapshot_taken_at_seconds);
-}
-
 TEST(SystemSnapshotTest, SnapshotIsAnObservationNotAPerturbation) {
   RlSystemConfig base = SnapConfig();
   SystemReport plain = RunExperiment(base);
@@ -265,15 +242,18 @@ TEST(SystemSnapshotTest, VerifyAgainstOwnBlobReportsZeroMismatches) {
   first.snapshot_at_seconds = 0.4 * probe.simulated_seconds;
   SystemReport a = RunExperiment(first);
   ASSERT_NE(a.snapshot, nullptr);
+  ASSERT_FALSE(a.snapshot->empty());
+  EXPECT_GT(a.snapshot_taken_at_seconds, 0.0);
 
-  // A shard-flipped rerun re-reaches the barrier by deterministic replay and
-  // verifies every field against the recorded blob: the restore path.
+  // A rerun re-reaches the barrier by deterministic replay and verifies
+  // every field against the recorded blob: the restore path. It pauses at
+  // exactly the same event, so the blobs match byte for byte.
   RlSystemConfig second = first;
-  second.shards = 4;
   second.snapshot_verify = a.snapshot;
   SystemReport b = RunExperiment(second);
   ASSERT_NE(b.snapshot, nullptr);
   EXPECT_EQ(*a.snapshot, *b.snapshot);
+  EXPECT_EQ(a.snapshot_taken_at_seconds, b.snapshot_taken_at_seconds);
   EXPECT_TRUE(b.snapshot_mismatches.empty())
       << b.snapshot_mismatches.size() << " mismatches; first: "
       << b.snapshot_mismatches.front();
@@ -296,11 +276,11 @@ TEST(SystemSnapshotTest, VerifyAgainstForeignBlobNamesDriftedFields) {
   EXPECT_FALSE(c.snapshot_mismatches.empty());
 }
 
-TEST(SystemSnapshotTest, ServingTierStateSnapshotsShardInvariantly) {
+TEST(SystemSnapshotTest, ServingTierStateSnapshotsAndVerifies) {
   // With the online serving tier armed (DESIGN.md §14) the blob additionally
   // captures the traffic generator's rng/clock, the manager's ticket table,
-  // backlog, and latency histogram — and stays byte-identical across shard
-  // counts, with a verify-mode restore reporting zero mismatches.
+  // backlog, and latency histogram — and stays byte-identical across a
+  // rerun, with a verify-mode restore reporting zero mismatches.
   RlSystemConfig base = SnapConfig();
   base.serving.enabled = true;
   base.serving.base_rate_per_sec = 2.0;
@@ -308,18 +288,17 @@ TEST(SystemSnapshotTest, ServingTierStateSnapshotsShardInvariantly) {
   base.serving.diurnal_period_seconds = 300.0;
   SystemReport probe = RunExperiment(base);
   ASSERT_GT(probe.serving_requests, 0);
-  RlSystemConfig serial = base;
-  serial.snapshot_at_seconds = 0.5 * probe.simulated_seconds;
-  SystemReport a = RunExperiment(serial);
+  RlSystemConfig snapped = base;
+  snapped.snapshot_at_seconds = 0.5 * probe.simulated_seconds;
+  SystemReport a = RunExperiment(snapped);
   ASSERT_NE(a.snapshot, nullptr);
   // The serving sections are actually present in the witness.
   EXPECT_NE(a.snapshot->find("serving_traffic"), std::string::npos);
   EXPECT_NE(a.snapshot->find("serving_latency_seconds"), std::string::npos);
 
-  RlSystemConfig sharded = serial;
-  sharded.shards = 4;
-  sharded.snapshot_verify = a.snapshot;
-  SystemReport b = RunExperiment(sharded);
+  RlSystemConfig verify = snapped;
+  verify.snapshot_verify = a.snapshot;
+  SystemReport b = RunExperiment(verify);
   ASSERT_NE(b.snapshot, nullptr);
   EXPECT_EQ(*a.snapshot, *b.snapshot);
   EXPECT_TRUE(b.snapshot_mismatches.empty())
@@ -329,7 +308,7 @@ TEST(SystemSnapshotTest, ServingTierStateSnapshotsShardInvariantly) {
   // And with the tier off, no serving section leaks into the blob.
   EXPECT_EQ(probe.snapshot, nullptr);
   RlSystemConfig off = SnapConfig();
-  off.snapshot_at_seconds = serial.snapshot_at_seconds;
+  off.snapshot_at_seconds = snapped.snapshot_at_seconds;
   SystemReport c = RunExperiment(off);
   ASSERT_NE(c.snapshot, nullptr);
   EXPECT_EQ(c.snapshot->find("serving_traffic"), std::string::npos);
@@ -385,10 +364,10 @@ TEST(CrashRestartTest, StochasticCrashChaosCompletesCleanly) {
   EXPECT_EQ(rep.invariant_violations, 0);
 }
 
-TEST(CrashRestartTest, SnapshotAndCrashComposeShardInvariantly) {
+TEST(CrashRestartTest, SnapshotAndCrashCompose) {
   // The hardest composition: stochastic crash-restart chaos AND a snapshot
-  // barrier, serial vs sharded — the blob and the fingerprint must both be
-  // byte-identical.
+  // barrier, verified by a rerun — the blob and the fingerprint must both be
+  // byte-identical, and the snapshot must not perturb the run.
   RlSystemConfig cfg = SnapConfig();
   cfg.chaos_enabled = true;
   cfg.chaos_seed = 91;
@@ -398,14 +377,13 @@ TEST(CrashRestartTest, SnapshotAndCrashComposeShardInvariantly) {
   cfg.chaos.crash_restart_recovery_seconds = 25.0;
   SystemReport probe = RunExperiment(cfg);
 
-  RlSystemConfig serial = cfg;
-  serial.snapshot_at_seconds = 0.6 * probe.simulated_seconds;
-  SystemReport a = RunExperiment(serial);
+  RlSystemConfig snapped = cfg;
+  snapped.snapshot_at_seconds = 0.6 * probe.simulated_seconds;
+  SystemReport a = RunExperiment(snapped);
   ASSERT_NE(a.snapshot, nullptr);
-  RlSystemConfig sharded = serial;
-  sharded.shards = 4;
-  sharded.snapshot_verify = a.snapshot;
-  SystemReport b = RunExperiment(sharded);
+  RlSystemConfig verify = snapped;
+  verify.snapshot_verify = a.snapshot;
+  SystemReport b = RunExperiment(verify);
   ASSERT_NE(b.snapshot, nullptr);
   EXPECT_EQ(*a.snapshot, *b.snapshot);
   EXPECT_TRUE(b.snapshot_mismatches.empty());
