@@ -20,19 +20,6 @@ std::string g_snapshot_out;  // empty = don't write warm-start files
 int g_snapshot_index = 0;    // per-process snapshot file counter
 bool g_restore_armed = false;
 SnapshotFile g_restore;  // decoded --restore-from file
-RestoreMode g_restore_mode = RestoreMode::kDirect;
-
-bool ParseRestoreMode(const char* value) {
-  if (std::strcmp(value, "direct") == 0) {
-    g_restore_mode = RestoreMode::kDirect;
-  } else if (std::strcmp(value, "replay") == 0) {
-    g_restore_mode = RestoreMode::kReplay;
-  } else {
-    std::fprintf(stderr, "--restore-mode must be direct or replay\n");
-    std::exit(2);
-  }
-  return true;
-}
 
 void LoadRestoreFile(const char* path) {
   std::ifstream in(path, std::ios::binary);
@@ -70,10 +57,6 @@ void InitBenchTracing(int argc, char** argv) {
       LoadRestoreFile(argv[++i]);
     } else if (std::strncmp(argv[i], "--restore-from=", 15) == 0) {
       LoadRestoreFile(argv[i] + 15);
-    } else if (std::strcmp(argv[i], "--restore-mode") == 0 && i + 1 < argc) {
-      ParseRestoreMode(argv[++i]);
-    } else if (std::strncmp(argv[i], "--restore-mode=", 15) == 0) {
-      ParseRestoreMode(argv[i] + 15);
     }
   }
 }
@@ -93,7 +76,6 @@ bool BenchSnapshotEnabled() {
 void ArmSnapshot(RlSystemConfig& cfg) {
   if (g_restore_armed) {
     cfg.restore_from = std::make_shared<const std::string>(g_restore.blob);
-    cfg.restore_mode = g_restore_mode;
   } else if (g_snapshot_at > 0.0) {
     cfg.snapshot_at_seconds = g_snapshot_at;
   }
@@ -110,10 +92,9 @@ void MaybeWriteSnapshot(const SystemReport& report) {
   }
   if (g_restore_armed) {
     bool bytes_equal = *report.snapshot == g_restore.blob;
-    std::fprintf(stderr, "snapshot: %s: %s restore vs %s at t=%.6g s in %.3f s "
-                 "wall: %zu field mismatch(es), blob %s\n",
+    std::fprintf(stderr, "snapshot: %s: direct-boot restore vs %s at t=%.6g s in "
+                 "%.3f s wall: %zu field mismatch(es), blob %s\n",
                  report.label.c_str(),
-                 g_restore_mode == RestoreMode::kDirect ? "direct-boot" : "replay",
                  g_restore.scenario_text.empty() ? "(unlabeled)"
                                                  : g_restore.scenario_text.c_str(),
                  g_restore.snapshot_at, report.restore_wall_seconds,

@@ -52,12 +52,9 @@ void MaybeWriteTrace(const SystemReport& report);
 // perturbation, so the printed tables are byte-identical with or without it.
 // `--snapshot-out <path>` writes each experiment's snapshot as a
 // "<base>.<NNN><ext>" warm-start file (submission order, like --trace-out).
-// `--restore-from <file>` resumes every config from the file's blob.
-// `--restore-mode <direct|replay>` picks the recovery leg (default direct):
-// direct boot adopts the blob and re-mints the event heap in wall-clock
-// independent of the barrier time; replay re-executes the prefix from t=0
-// and verifies the re-reached state field-by-field against the blob —
-// the legacy path, kept as a differential oracle (DESIGN.md §13).
+// `--restore-from <file>` direct-boots every config from the file's blob:
+// adopt it and re-mint the event heap in wall-clock independent of the
+// barrier time (DESIGN.md §13).
 // All notices and mismatch reports go to stderr; stdout never moves.
 void ArmSnapshot(RlSystemConfig& cfg);
 void MaybeWriteSnapshot(const SystemReport& report);

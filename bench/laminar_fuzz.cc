@@ -11,11 +11,10 @@
 //   laminar_fuzz --snapshot-at 30 --snapshot-out w.lmsnap --replay F.scenario
 //       runs F with a snapshot barrier at t=30 s and writes the captured
 //       state (plus the scenario text) as a warm-start file
-//   laminar_fuzz --restore-from w.lmsnap [--restore-mode direct|replay]
-//       resumes the embedded scenario from the barrier: direct boot by
-//       default (adopt the blob, O(1) of the prefix), or the legacy
-//       replay-anchored path with --restore-mode replay (re-run the prefix,
-//       verify the re-reached state field-by-field), then runs to completion
+//   laminar_fuzz --restore-from w.lmsnap
+//       direct-boots the embedded scenario from the barrier (adopt the blob,
+//       O(1) of the prefix), checks the boot re-snapshot byte-for-byte, then
+//       runs to completion
 //   --snapshot-at with --replay alone pins the diff-snapshot oracle's
 //       barrier to t instead of the seeded mid-point
 //
@@ -42,12 +41,11 @@ int Usage(const char* argv0) {
                "usage: %s [--seeds N] [--base-seed S] [--corpus-dir DIR] [--no-shrink]\n"
                "       [--threads-a N] [--threads-b N] [--max-failures N]\n"
                "       [--no-snapshot-diff] [--snapshot-at T] [--snapshot-out FILE]\n"
-               "       [--restore-from FILE] [--restore-mode direct|replay]\n"
+               "       [--restore-from FILE]\n"
                "       [--replay FILE...] [--dump SEED] [--fingerprints DIR]\n"
                "--snapshot-at T with --replay pins the snapshot oracle's barrier to\n"
                "T seconds; add --snapshot-out to also write a warm-start file, which\n"
-               "--restore-from resumes: direct boot by default, or replay-anchored\n"
-               "with --restore-mode replay; both verify byte-for-byte.\n",
+               "--restore-from direct-boots and verifies byte-for-byte.\n",
                argv0);
   return 2;
 }
@@ -145,15 +143,12 @@ int WriteWarmStart(const std::string& scenario_path, double t,
   return 0;
 }
 
-// --restore-from FILE [--restore-mode direct|replay]: decode a warm-start
-// file and resume its embedded scenario from the recorded barrier. Direct
-// mode (the default) boots straight off the blob — adopt every component,
+// --restore-from FILE: decode a warm-start file and resume its embedded
+// scenario from the recorded barrier by direct boot — adopt every component,
 // re-mint the event heap, continue — in wall-clock independent of the
-// barrier time. Replay mode keeps the legacy path: re-run the prefix from
-// t=0, verify the re-reached state field-by-field against the stored blob,
-// then continue (DESIGN.md §13). Either way the barrier re-snapshot must be
+// barrier time (DESIGN.md §13). The barrier re-snapshot must be
 // byte-identical to the stored blob.
-int RestoreFrom(const std::string& path, RestoreMode mode) {
+int RestoreFrom(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
@@ -174,17 +169,15 @@ int RestoreFrom(const std::string& path, RestoreMode mode) {
   }
   RlSystemConfig cfg = scn.config;
   cfg.restore_from = std::make_shared<const std::string>(file.blob);
-  cfg.restore_mode = mode;
   SweepOptions solo;
   solo.num_threads = 1;
   SystemReport rep = std::move(RunExperiments({cfg}, solo)[0]);
   bool bytes_equal = rep.snapshot != nullptr && *rep.snapshot == file.blob;
   std::printf(
-      "%s: %s restore [%s] to t=%.6g s in %.3f s wall: %zu field "
+      "%s: direct-boot restore [%s] to t=%.6g s in %.3f s wall: %zu field "
       "mismatch(es), blob %s\n",
-      path.c_str(), mode == RestoreMode::kDirect ? "direct-boot" : "replay",
-      ScenarioSummary(scn).c_str(), file.snapshot_at, rep.restore_wall_seconds,
-      rep.snapshot_mismatches.size(),
+      path.c_str(), ScenarioSummary(scn).c_str(), file.snapshot_at,
+      rep.restore_wall_seconds, rep.snapshot_mismatches.size(),
       bytes_equal ? "byte-identical" : "DIFFERS");
   for (const std::string& m : rep.snapshot_mismatches) {
     std::printf("%s:   %s\n", path.c_str(), m.c_str());
@@ -200,7 +193,6 @@ int Main(int argc, char** argv) {
   double snapshot_at = 0.0;
   std::string snapshot_out;
   std::string restore_from;
-  RestoreMode restore_mode = RestoreMode::kDirect;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     auto next = [&](const char* flag) -> const char* {
@@ -234,16 +226,6 @@ int Main(int argc, char** argv) {
       snapshot_out = next("--snapshot-out");
     } else if (arg == "--restore-from") {
       restore_from = next("--restore-from");
-    } else if (arg == "--restore-mode") {
-      std::string mode = next("--restore-mode");
-      if (mode == "direct") {
-        restore_mode = RestoreMode::kDirect;
-      } else if (mode == "replay") {
-        restore_mode = RestoreMode::kReplay;
-      } else {
-        std::fprintf(stderr, "--restore-mode must be direct or replay\n");
-        return 2;
-      }
     } else if (arg == "--replay") {
       replaying = true;
     } else if (arg == "--fingerprints") {
@@ -259,7 +241,7 @@ int Main(int argc, char** argv) {
   }
 
   if (!restore_from.empty()) {
-    return RestoreFrom(restore_from, restore_mode);
+    return RestoreFrom(restore_from);
   }
   if (!snapshot_out.empty()) {
     if (replay.size() != 1 || snapshot_at <= 0.0) {

@@ -11,7 +11,7 @@
 // Iteration (ForEach) visits live slots in slot order, which is NOT
 // insertion order once slots have been reused. Callers that need a
 // deterministic traversal order must impose one themselves (a sequence
-// stamp, or an order-witness structure — see PartialResponsePool).
+// stamp, or a sort on a stable key — see PartialResponsePool::TakeByReplica).
 #ifndef LAMINAR_SRC_COMMON_ENTITY_TABLE_H_
 #define LAMINAR_SRC_COMMON_ENTITY_TABLE_H_
 

@@ -22,14 +22,6 @@ namespace laminar {
 
 enum class SamplerKind { kFifo, kFreshness, kStalenessCapped };
 
-// Recovery strategy for a run handed a warm-start blob (restore_from).
-// kDirect boots straight off the blob: adopt every component, re-mint the
-// event heap, resume — O(1) of the prefix. kReplay is the legacy
-// replay-anchored path kept as a differential oracle: re-execute the prefix
-// from t=0 and verify the re-reached barrier state field-by-field against
-// the blob before continuing.
-enum class RestoreMode { kDirect, kReplay };
-
 struct RlSystemConfig {
   SystemKind system = SystemKind::kLaminar;
   ModelScale scale = ModelScale::k7B;
@@ -117,14 +109,6 @@ struct RlSystemConfig {
   // blob must carry a complete event heap (heap_complete; the Laminar driver
   // guarantees it) and, if tracing is on, full-capture mode.
   std::shared_ptr<const std::string> restore_from;
-  // How the run recovers from restore_from. kDirect (the default) adopts the
-  // blob and resumes in O(1) of the prefix. kReplay keeps the legacy
-  // replay-anchored path alive as a differential oracle: cold-start, replay
-  // the prefix from t=0 to the blob's barrier, verify the re-reached state
-  // field-by-field against the blob (mismatches land in the report), then
-  // continue. Both modes must land on byte-identical fingerprints and
-  // barrier blobs; the fuzzer's snapshot-diff oracle holds them to that.
-  RestoreMode restore_mode = RestoreMode::kDirect;
 
   // Metamorphic scaling knob: multiplies every hardware rate (GPU FLOPs, HBM,
   // NVLink/PCIe/RDMA bandwidths) by this factor and every fixed latency or

@@ -1,8 +1,8 @@
 #include "src/data/partial_response_pool.h"
 
+#include <algorithm>
 #include <utility>
 
-#include "src/data/trajectory_digest.h"
 #include "src/snapshot/snapshot.h"
 #include "src/snapshot/snapshot_codec.h"
 
@@ -21,13 +21,27 @@ bool PartialResponsePool::SetTerminal(TrajId id) {
   return true;
 }
 
+void PartialResponsePool::Erase(TrajId id) {
+  if (Contains(id)) {
+    EntityHandle& handle = index_[static_cast<size_t>(id)];
+    table_.Remove(handle);
+    handle = EntityHandle{};
+  }
+}
+
 bool PartialResponsePool::Update(const TrajectoryWork& work, int owner_replica) {
   TrajId id = work.record.id;
   if (IsTerminal(id)) {
     ++stale_updates_;
     return false;
   }
-  EntityHandle& handle = index_[id];
+  LAMINAR_CHECK(id >= 0 && !IsServingId(id))
+      << "pool ids are dense training ids; got " << id;
+  size_t idx = static_cast<size_t>(id);
+  if (idx >= index_.size()) {
+    index_.resize(idx + 1);
+  }
+  EntityHandle& handle = index_[idx];
   if (Entry* e = table_.Get(handle)) {
     e->work = work;
     e->owner_replica = owner_replica;
@@ -39,11 +53,7 @@ bool PartialResponsePool::Update(const TrajectoryWork& work, int owner_replica) 
 }
 
 bool PartialResponsePool::MarkCompleted(TrajId id) {
-  auto it = index_.find(id);
-  if (it != index_.end()) {
-    table_.Remove(it->second);
-    index_.erase(it);
-  }
+  Erase(id);
   if (!SetTerminal(id)) {
     ++duplicate_completions_;
     return false;
@@ -53,11 +63,7 @@ bool PartialResponsePool::MarkCompleted(TrajId id) {
 }
 
 bool PartialResponsePool::MarkDropped(TrajId id) {
-  auto it = index_.find(id);
-  if (it != index_.end()) {
-    table_.Remove(it->second);
-    index_.erase(it);
-  }
+  Erase(id);
   if (!SetTerminal(id)) {
     return false;
   }
@@ -65,37 +71,35 @@ bool PartialResponsePool::MarkDropped(TrajId id) {
   return true;
 }
 
-bool PartialResponsePool::Remove(TrajId id) {
-  bool had_entry = index_.count(id) > 0;
-  MarkCompleted(id);
-  return had_entry;
-}
-
 std::vector<TrajectoryWork> PartialResponsePool::TakeByReplica(int replica) {
-  std::vector<TrajectoryWork> out;
-  for (auto it = index_.begin(); it != index_.end();) {
-    Entry* e = table_.Get(it->second);
-    if (e != nullptr && e->owner_replica == replica) {
-      // The entry is leaving the pool either way, so move the payload out of
-      // the slab instead of copying it.
-      TrajectoryWork work = std::move(table_.Remove(it->second).work);
-      work.kv_resident = false;
-      // A checkpoint taken at a sandbox-call boundary (FinishSegment reports
-      // progress before advancing the segment) has its current segment fully
-      // decoded. The sandbox call outlives the dead replica, so resolve the
-      // interaction the same way RolloutReplica::ExtractAllWork does: append
-      // the feedback and resume at the next segment on the destination.
-      if (!work.finished() && work.remaining_in_segment() == 0 &&
-          work.segment_index + 1 < static_cast<int>(work.record.spec.num_segments())) {
-        work.context_tokens += work.current_segment().feedback_tokens;
-        work.segment_index += 1;
-        work.decoded_in_segment = 0;
-      }
-      out.push_back(std::move(work));
-      it = index_.erase(it);
-    } else {
-      ++it;
+  std::vector<TrajId> ids;
+  table_.ForEach([&ids, replica](EntityHandle /*h*/, const Entry& entry) {
+    if (entry.owner_replica == replica) {
+      ids.push_back(entry.work.record.id);
     }
+  });
+  std::sort(ids.begin(), ids.end());
+  std::vector<TrajectoryWork> out;
+  out.reserve(ids.size());
+  for (TrajId id : ids) {
+    EntityHandle& handle = index_[static_cast<size_t>(id)];
+    // The entry is leaving the pool either way, so move the payload out of
+    // the slab instead of copying it.
+    TrajectoryWork work = std::move(table_.Remove(handle).work);
+    handle = EntityHandle{};
+    work.kv_resident = false;
+    // A checkpoint taken at a sandbox-call boundary (FinishSegment reports
+    // progress before advancing the segment) has its current segment fully
+    // decoded. The sandbox call outlives the dead replica, so resolve the
+    // interaction the same way RolloutReplica::ExtractAllWork does: append
+    // the feedback and resume at the next segment on the destination.
+    if (!work.finished() && work.remaining_in_segment() == 0 &&
+        work.segment_index + 1 < static_cast<int>(work.record.spec.num_segments())) {
+      work.context_tokens += work.current_segment().feedback_tokens;
+      work.segment_index += 1;
+      work.decoded_in_segment = 0;
+    }
+    out.push_back(std::move(work));
   }
   return out;
 }
@@ -125,55 +129,44 @@ void PartialResponsePool::Snapshot(SnapshotTx& tx) {
         terminal_.resize(static_cast<size_t>(s.U64()));
         s.Raw(terminal_.data(), terminal_.size());
       });
-  // Every live entry in index iteration order — the order TakeByReplica
-  // recovers work in — plus the index's bucket count. Together they pin the
-  // exact table layout (bucket runs are contiguous in iteration order), so
-  // adoption rebuilds a pool that recovers work identically to the run that
-  // wrote the blob. Slab handles are NOT serialized: they are reassigned on
-  // adopt and never influence behavior or bytes.
+  // Every live entry in ascending TrajId — the order TakeByReplica recovers
+  // work in. Slab handles are NOT serialized: they are reassigned on adopt
+  // and never influence behavior or bytes.
   SnapshotPacked(
       tx, "entries",
       [this](ByteSink& s) {
-        s.U64(index_.bucket_count());
-        s.U64(index_.size());
-        for (const auto& [id, handle] : index_) {
-          const Entry* entry = table_.Get(handle);
-          LAMINAR_CHECK(entry != nullptr) << "dangling pool index entry " << id;
-          s.I64(id);
+        s.U64(table_.size());
+        for (size_t id = 0; id < index_.size(); ++id) {
+          const Entry* entry = table_.Get(index_[id]);
+          if (entry == nullptr) {
+            continue;
+          }
+          s.I64(static_cast<TrajId>(id));
           s.I32(entry->owner_replica);
           PackWork(s, entry->work);
         }
       },
       [this](ByteSource& s) {
         table_.Clear();
-        size_t bucket_count = static_cast<size_t>(s.U64());
+        index_.clear();
         size_t n = static_cast<size_t>(s.U64());
         table_.Reserve(n);
-        std::vector<std::pair<TrajId, EntityHandle>> order;
-        order.reserve(n);
+        TrajId prev = -1;
         for (size_t i = 0; i < n; ++i) {
           TrajId id = s.I64();
+          LAMINAR_CHECK_GT(id, prev)
+              << "partial_pool entries not in strictly ascending id order";
+          LAMINAR_CHECK(!IsTerminal(id) && !IsServingId(id))
+              << "partial_pool entry " << id << " is terminal or a serving id";
+          prev = id;
           int owner = s.I32();
           TrajectoryWork work = UnpackWork(s);
-          order.emplace_back(id, table_.Insert({std::move(work), owner}));
+          index_.resize(static_cast<size_t>(id) + 1);
+          index_[static_cast<size_t>(id)] = table_.Insert({std::move(work), owner});
         }
-        index_.RebuildFromOrder(bucket_count, order);
       });
-  tx.DigestU64("size", index_.size());
+  tx.DigestU64("size", table_.size());
   tx.DigestI64("context_tokens", total_context_tokens());
-  // The legacy order witness, unchanged from the transitional-map era: folds
-  // (id, owner, work digest) in iteration order so verify mode cheaply spots
-  // recovery-order drift between two executions.
-  uint64_t h = 1469598103934665603ull;
-  for (const auto& [id, handle] : index_) {
-    const Entry* entry = table_.Get(handle);
-    h = SnapshotFoldI64(h, id);
-    if (entry != nullptr) {
-      h = SnapshotFoldI64(h, entry->owner_replica);
-      h = TrajectoryWorkDigest(entry->work, h);
-    }
-  }
-  tx.DigestU64("order_witness_fnv", h);
   tx.End();
 }
 

@@ -13,17 +13,15 @@
 // completion is suppressed rather than double-counted.
 //
 // Layout (DESIGN.md §11): the heavy TrajectoryWork payloads live in a
-// generation-tagged slab (EntityTable) and the terminal tombstones in a
-// dense bitmap indexed by TrajId — trajectory ids are issued sequentially
-// from 0, so the bitmap is equivalent to the old hash set at a fraction of
-// the cost. The id index is a RecoveryOrderIndex from TrajId to slab handle
-// that performs exactly the insert/erase sequence the old TrajId->Entry map
-// did. TakeByReplica's recovery order — which feeds the manager's
-// round-robin redirect sharding and therefore the simulation's event
-// sequence — is that index's iteration order, a pure function of the
-// operation sequence with explicit, serialized layout rules; a direct-boot
-// restore reconstructs the exact layout and keeps recovering work in the
-// same order the uninterrupted run would have.
+// generation-tagged slab (EntityTable); the id index (TrajId -> slab handle)
+// and the terminal tombstones are dense vectors indexed by TrajId, since
+// trajectory ids are issued sequentially from 0.
+//
+// Recovery order is one explicit rule: TakeByReplica returns work in
+// ascending TrajId. That order feeds the manager's round-robin redirect
+// sharding and therefore the simulation's event sequence; it depends only on
+// which ids are live, never on slab layout, so a direct-boot restore
+// recovers work in the same order the uninterrupted run would have.
 #ifndef LAMINAR_SRC_DATA_PARTIAL_RESPONSE_POOL_H_
 #define LAMINAR_SRC_DATA_PARTIAL_RESPONSE_POOL_H_
 
@@ -31,7 +29,6 @@
 #include <vector>
 
 #include "src/common/entity_table.h"
-#include "src/data/recovery_order_index.h"
 #include "src/data/trajectory.h"
 
 namespace laminar {
@@ -44,6 +41,7 @@ class PartialResponsePool {
   // identifies which replica currently generates it (a re-Update by a new
   // owner after migration simply moves ownership). Returns false — and
   // changes nothing — if the trajectory is already terminal (stale update).
+  // Serving ids (IsServingId) are never checkpointed and are rejected.
   bool Update(const TrajectoryWork& work, int owner_replica);
 
   // Marks a trajectory terminal-completed and erases its saved state.
@@ -55,22 +53,20 @@ class PartialResponsePool {
   // the first time; false if the trajectory was already terminal.
   bool MarkDropped(TrajId id);
 
-  // Legacy completion API: MarkCompleted + "was a live entry erased".
-  bool Remove(TrajId id);
-
   // All in-progress work owned by `replica`, e.g. everything lost when its
   // machine dies. The returned items have kv_resident=false (the cache died
-  // with the machine). Order follows the pool's internal layout, which is a
-  // pure function of the operation sequence — identical runs recover work in
-  // identical order.
+  // with the machine), in ascending TrajId.
   std::vector<TrajectoryWork> TakeByReplica(int replica);
 
-  bool Contains(TrajId id) const { return index_.count(id) > 0; }
+  bool Contains(TrajId id) const {
+    return id >= 0 && static_cast<size_t>(id) < index_.size() &&
+           index_[static_cast<size_t>(id)].valid();
+  }
   bool IsTerminal(TrajId id) const {
     return id >= 0 && static_cast<size_t>(id) < terminal_.size() &&
            terminal_[static_cast<size_t>(id)] != 0;
   }
-  size_t size() const { return index_.size(); }
+  size_t size() const { return table_.size(); }
   int64_t updates() const { return updates_; }
   int64_t completed() const { return completed_; }
   int64_t dropped() const { return dropped_; }
@@ -80,10 +76,9 @@ class PartialResponsePool {
   int64_t total_context_tokens() const;
 
   // Snapshot (src/snapshot, DESIGN.md §13): counters, the terminal bitmap,
-  // and every live entry — id, owner and full work payload — serialized in
-  // index iteration order alongside the index's bucket count, so a direct
-  // boot reconstructs the exact recovery order. The legacy order-witness
-  // digest rides along unchanged for cheap verify-mode drift detection.
+  // and every live entry — id, owner and full work payload — in ascending
+  // TrajId. Adopt rejects an entries record that is not strictly ascending
+  // or that names a terminal id.
   void Snapshot(SnapshotTx& tx);
 
  private:
@@ -94,12 +89,11 @@ class PartialResponsePool {
 
   // Returns false if `id` was already terminal (the first call wins).
   bool SetTerminal(TrajId id);
+  // Frees `id`'s live entry, if any.
+  void Erase(TrajId id);
 
   EntityTable<Entry> table_;
-  // Id -> slab handle. Doubles as the recovery-order witness: see the file
-  // comment. Do not add or reorder structural operations (insert/erase) on
-  // it without mirroring what the pre-slab TrajId->Entry map performed.
-  RecoveryOrderIndex index_;
+  std::vector<EntityHandle> index_;  // slab handle, indexed by TrajId; invalid = absent
   std::vector<uint8_t> terminal_;  // tombstone bitmap, indexed by TrajId
   int64_t updates_ = 0;
   int64_t completed_ = 0;

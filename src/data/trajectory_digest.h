@@ -1,7 +1,6 @@
 // Order-sensitive FNV digests over trajectory payloads, used by the
-// snapshot witnesses of the data-path pools (DESIGN.md §13). Trajectory
-// payloads are never adopted field-by-field — restore replays the run — so
-// the pools serialize these digests instead of the heavy records.
+// experience buffer's snapshot cross-check (DESIGN.md §13): a digest field
+// that verify mode compares and adopt reads and skips.
 #ifndef LAMINAR_SRC_DATA_TRAJECTORY_DIGEST_H_
 #define LAMINAR_SRC_DATA_TRAJECTORY_DIGEST_H_
 
@@ -50,15 +49,6 @@ inline uint64_t TrajectoryRecordDigest(const TrajectoryRecord& r, uint64_t h) {
   h = SnapshotFoldF64(h, r.finished.seconds());
   h = SnapshotFoldI64(h, r.finish_actor_version);
   h = SnapshotFoldI64(h, r.consume_actor_version);
-  return h;
-}
-
-inline uint64_t TrajectoryWorkDigest(const TrajectoryWork& w, uint64_t h) {
-  h = TrajectoryRecordDigest(w.record, h);
-  h = SnapshotFoldI64(h, w.segment_index);
-  h = SnapshotFoldI64(h, w.decoded_in_segment);
-  h = SnapshotFoldI64(h, w.context_tokens);
-  h = SnapshotFoldU64(h, w.kv_resident ? 1 : 0);
   return h;
 }
 

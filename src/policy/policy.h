@@ -100,7 +100,7 @@ class Policy {
   const PolicyConfig& config() const { return config_; }
   const std::vector<double>& parameters() const { return theta_; }
 
-  // Full-state snapshot (LMSNAP1 v2): live parameters plus the published
+  // Full-state snapshot (LMSNAP1): live parameters plus the published
   // version history. The memo tables are exact caches keyed on inputs, so
   // they are rebuilt lazily after adoption rather than serialized.
   void Snapshot(SnapshotTx& tx);

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "src/common/logging.h"
-#include "src/data/trajectory_digest.h"
 #include "src/snapshot/snapshot.h"
 #include "src/snapshot/snapshot_codec.h"
 #include "src/trace/trace.h"
@@ -591,22 +590,17 @@ void RolloutManager::OnMachineFailure(int machine) {
     RolloutReplica* r = casualties[i];
     int id = r->config().id;
     // In-progress state survives in the partial-response pool; everything the
-    // dead replica owned is redirected (re-prefill on arrival).
+    // dead replica owned is redirected (re-prefill on arrival). The pool
+    // hands it back in ascending id.
     std::vector<TrajectoryWork> recovered = partial_pool_->TakeByReplica(id);
-    std::vector<TrajId> recovered_ids;
-    recovered_ids.reserve(recovered.size());
-    for (const TrajectoryWork& w : recovered) {
-      recovered_ids.push_back(w.record.id);
-    }
-    std::sort(recovered_ids.begin(), recovered_ids.end());
     // Queued work that never streamed a checkpoint anywhere died with the
     // machine; mark it terminal-dropped so the prompt ledger stays exact.
     for (const TrajectoryWork& w : never_admitted[i]) {
       if (IsServingId(w.record.id)) {
         continue;  // no prompt ledger entry; the ticket sweep above counted it
       }
-      if (std::binary_search(recovered_ids.begin(), recovered_ids.end(),
-                             w.record.id)) {
+      if (std::ranges::binary_search(recovered, w.record.id, {},
+                                     [](const TrajectoryWork& r) { return r.record.id; })) {
         continue;  // a pooled checkpoint survives and will be redirected
       }
       if (partial_pool_->MarkDropped(w.record.id)) {

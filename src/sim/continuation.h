@@ -8,7 +8,7 @@
 // (component_id, kind, payload) descriptors instead of lambdas. The
 // simulator stores the descriptor in the event slot, dispatches it through
 // the registry when the event fires, and — because the descriptor is plain
-// data — serializes the live heap into the LMSNAP1 v2 `event_heap` section
+// data — serializes the live heap into the LMSNAP1 `event_heap` section
 // so a restore can re-mint every pending event directly from the blob.
 //
 // Components implement two entry points:

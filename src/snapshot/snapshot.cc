@@ -68,7 +68,7 @@ struct Cursor {
   }
 };
 
-// v2 checksum: FNV-1a split across 8 positional lanes (byte j feeds lane
+// Trailing checksum: FNV-1a split across 8 positional lanes (byte j feeds lane
 // j%8), folded in lane order. The eight multiply chains are independent, so
 // they pipeline where plain FNV-1a serializes on multiply latency — ~4x
 // faster over the multi-megabyte blobs direct-boot restore must validate.
@@ -101,12 +101,6 @@ uint64_t SnapshotFnv1a8(const void* data, size_t n) {
   return h;
 }
 
-// The trailing-checksum algorithm is keyed by the header version so v1
-// blobs (plain FNV-1a) keep parsing forever.
-uint64_t SnapshotChecksum(const void* data, size_t n, uint32_t version) {
-  return version >= 2 ? SnapshotFnv1a8(data, n) : SnapshotFnv1a(data, n);
-}
-
 const char* KindName(SnapshotRecordKind kind) {
   switch (kind) {
     case SnapshotRecordKind::kEndOfStream: return "end-of-stream";
@@ -132,9 +126,9 @@ uint64_t SnapshotFnv1a(const void* data, size_t n, uint64_t seed) {
   return h;
 }
 
-SnapshotWriter::SnapshotWriter(uint32_t version) : version_(version) {
+SnapshotWriter::SnapshotWriter() {
   out_.append(kSnapshotMagic, sizeof(kSnapshotMagic));
-  AppendU32(out_, version);
+  AppendU32(out_, kSnapshotVersion);
 }
 
 void SnapshotWriter::Record(SnapshotRecordKind kind, const std::string& name) {
@@ -173,7 +167,7 @@ void SnapshotWriter::Bytes(const std::string& name, const std::string& v) {
 std::string SnapshotWriter::Finish() {
   if (!finished_) {
     AppendU8(out_, static_cast<uint8_t>(SnapshotRecordKind::kEndOfStream));
-    AppendU64(out_, SnapshotChecksum(out_.data(), out_.size(), version_));
+    AppendU64(out_, SnapshotFnv1a8(out_.data(), out_.size()));
     finished_ = true;
   }
   return out_;
@@ -191,20 +185,19 @@ bool SnapshotReader::Parse(const std::string& data, std::string* error) {
   if (std::memcmp(data.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
     return fail("bad snapshot magic");
   }
-  // The version must be read before the checksum can be verified: the
-  // checksum algorithm is version-keyed (v1 plain FNV-1a, v2 8-lane).
+  // The version is checked before the checksum, so a blob from another
+  // format version names its version instead of reading as corruption.
   Cursor cur{reinterpret_cast<const unsigned char*>(data.data()), data.size() - 8};
   cur.at = sizeof(kSnapshotMagic);
   uint32_t version = cur.U32();
-  if (version < kSnapshotMinVersion || version > kSnapshotVersion) {
-    return fail("unsupported snapshot version");
+  if (version != kSnapshotVersion) {
+    return fail("unsupported snapshot version " + std::to_string(version));
   }
-  version_ = version;
   uint64_t have_bits = 0;  // stored little-endian; reassemble explicitly
   for (int i = 0; i < 8; ++i) {
     have_bits |= static_cast<uint64_t>(static_cast<unsigned char>(data[data.size() - 8 + i])) << (8 * i);
   }
-  uint64_t computed = SnapshotChecksum(data.data(), data.size() - 8, version);
+  uint64_t computed = SnapshotFnv1a8(data.data(), data.size() - 8);
   if (have_bits != computed) return fail("snapshot checksum mismatch");
   while (true) {
     uint8_t kind = cur.U8();

@@ -14,12 +14,11 @@
 // until the matching kEndSection), kU64/kI64/kF64 (8-byte little-endian
 // payload; doubles are bit-cast so the round trip is exact), or kBytes
 // (u64 length + raw bytes).  The trailing checksum covers every byte before
-// it, so truncation and corruption are both detected at parse time. Its
-// algorithm is version-keyed: v1 blobs carry plain FNV-1a; v2 blobs carry
+// it, so truncation and corruption are both detected at parse time. It is
 // an 8-lane FNV-1a (byte j feeds lane j%8, lanes folded in order) whose
-// independent multiply chains pipeline ~4x faster — direct-boot restore
-// checksums the whole blob on the critical path, so this is wall-clock that
-// scales with state size, not a cosmetic change.
+// independent multiply chains pipeline ~4x faster than plain FNV-1a —
+// direct-boot restore checksums the whole blob on the critical path, so this
+// is wall-clock that scales with state size, not a cosmetic change.
 //
 // Components expose one method:
 //
@@ -50,14 +49,12 @@
 namespace laminar {
 
 inline constexpr char kSnapshotMagic[8] = {'L', 'M', 'S', 'N', 'A', 'P', '1', '\0'};
-// v1: digest-anchored blobs (restore verifies a replayed run field by field).
-// v2: full-state blobs — the simulator serializes its live event heap as
+// Full-state blobs: the simulator serializes its live event heap as
 // reconstructible continuation descriptors (event_heap section) and every
 // component serializes adoptable state, so a restore boots directly from
-// the blob. v1 blobs still parse (SnapshotReader accepts both versions);
-// they simply cannot drive a direct boot.
-inline constexpr uint32_t kSnapshotVersion = 2;
-inline constexpr uint32_t kSnapshotMinVersion = 1;
+// the blob. v3 writes the partial-response pool's entries in ascending
+// TrajId. The reader accepts exactly this version; any other stops at parse.
+inline constexpr uint32_t kSnapshotVersion = 3;
 
 // Record kinds in the LMSNAP1 stream.
 enum class SnapshotRecordKind : uint8_t {
@@ -74,10 +71,7 @@ enum class SnapshotRecordKind : uint8_t {
 // checksum and returns the complete byte string.
 class SnapshotWriter {
  public:
-  // `version` is stamped into the header; anything in
-  // [kSnapshotMinVersion, kSnapshotVersion] is accepted (older versions
-  // exist so tests can author v1 fixtures).
-  explicit SnapshotWriter(uint32_t version = kSnapshotVersion);
+  SnapshotWriter();
 
   void BeginSection(const std::string& name);
   void EndSection();
@@ -92,7 +86,6 @@ class SnapshotWriter {
  private:
   void Record(SnapshotRecordKind kind, const std::string& name);
   std::string out_;
-  uint32_t version_;
   bool finished_ = false;
 };
 
@@ -120,13 +113,10 @@ class SnapshotReader {
   const SnapshotRecord* Next();
   const SnapshotRecord* Peek() const;
   const std::vector<SnapshotRecord>& records() const { return records_; }
-  // Header version of the last successful Parse().
-  uint32_t version() const { return version_; }
 
  private:
   std::vector<SnapshotRecord> records_;
   size_t pos_ = 0;
-  uint32_t version_ = 0;
 };
 
 enum class SnapshotMode { kWrite, kVerify, kAdopt };

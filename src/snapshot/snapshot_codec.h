@@ -1,6 +1,6 @@
 // Packed-bytes codec for full-state snapshot fields (DESIGN.md §13).
 //
-// LMSNAP1 v2 direct-boot restore needs every behavior-bearing container
+// LMSNAP1 direct-boot restore needs every behavior-bearing container
 // adopted, not just digested. Serializing each element as its own named
 // record would bloat the stream and slow the hot snapshot path, so
 // containers pack into a single kBytes record through this little-endian

@@ -166,43 +166,38 @@ OracleReport JudgeScenario(const Scenario& scn, const EvalOptions& opts,
                "primary's"});
         }
 
-        // Restore oracle (always on): boot a third run from A's blob and
-        // demand it be indistinguishable from never having stopped — the
+        // Restore oracle (always on): direct-boot a third run from A's blob
+        // and demand it be indistinguishable from never having stopped — the
         // barrier re-snapshot byte-equals the blob it booted from and the
-        // finished run reproduces the primary's fingerprint. The scenario's
-        // restore_mode axis picks the recovery leg: direct boot (default,
-        // adopt + re-mint in O(1) of the prefix) or the legacy
-        // replay-anchored path, so the two recovery modes are differential
-        // oracles for each other.
+        // finished run reproduces the primary's fingerprint. The adopted state
+        // is also field-diffed against the blob, so a drifted boot names the
+        // offending fields.
         ++out.checks_run;
-        const char* mode = scn.config.restore_mode == RestoreMode::kReplay
-                               ? "replay-anchored"
-                               : "direct-boot";
         RlSystemConfig run_c = scn.config;
         run_c.restore_from = rep_a.snapshot;
+        run_c.snapshot_verify = rep_a.snapshot;
         SystemReport rep_c = std::move(RunExperiments({run_c}, solo)[0]);
         if (!rep_c.restored) {
-          out.failures.push_back(
-              {"restore-diff", std::string(mode) + " rerun did not restore"});
+          out.failures.push_back({"restore-diff", "direct-boot rerun did not restore"});
         }
         if (rep_c.snapshot == nullptr || *rep_c.snapshot != *rep_a.snapshot) {
           out.failures.push_back(
-              {"restore-diff", std::string(mode) +
-                                   " barrier re-snapshot is not byte-identical "
-                                   "to the blob it recovered from"});
+              {"restore-diff",
+               "direct-boot barrier re-snapshot is not byte-identical to the "
+               "blob it recovered from"});
         }
         if (!rep_c.snapshot_mismatches.empty()) {
           out.failures.push_back(
               {"restore-diff",
-               std::string(mode) + " verify reported " +
+               "direct-boot verify reported " +
                    std::to_string(rep_c.snapshot_mismatches.size()) +
                    " field mismatches; first: " + rep_c.snapshot_mismatches[0]});
         }
         if (RunFingerprint(rep_c) != base) {
           out.failures.push_back(
-              {"restore-diff", std::string(mode) +
-                                   " rerun's fingerprint differs from the "
-                                   "primary's — recovery was not invisible"});
+              {"restore-diff",
+               "direct-boot rerun's fingerprint differs from the primary's — "
+               "recovery was not invisible"});
         }
       }
     }

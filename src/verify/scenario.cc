@@ -80,7 +80,6 @@ bool KnownScenarioKey(const std::string& key) {
       "serving_rate",   "serving_amplitude",
       "serving_period", "serving_slo_base",
       "serving_slo_per_token", "serving_dedicated",
-      "restore_mode",
   };
   for (const char* k : kKeys) {
     if (key == k) {
@@ -287,12 +286,6 @@ std::string ScenarioToText(const Scenario& scn) {
   if (cfg.snapshot_at_seconds != 0.0) {
     emit_double("snapshot_at", cfg.snapshot_at_seconds);
   }
-  if (cfg.restore_mode != RestoreMode::kDirect) {
-    // Armed-only, like crash_restart_rate=: pre-existing corpus files
-    // round-trip byte-identically. The axis pins which recovery leg the fuzzer's
-    // snapshot-diff oracle drives through restore_from.
-    out << "restore_mode=replay\n";
-  }
   if (cfg.serving.enabled) {
     // Armed-only, like crash_restart_rate=: serving-off corpus files
     // round-trip byte-identically to what older binaries wrote.
@@ -385,14 +378,6 @@ bool ScenarioFromText(const std::string& text, Scenario* out, std::string* error
         cfg.sampler = SamplerKind::kStalenessCapped;
       } else {
         return fail("bad sampler '" + value + "'");
-      }
-    } else if (key == "restore_mode") {
-      if (value == "direct") {
-        cfg.restore_mode = RestoreMode::kDirect;
-      } else if (value == "replay") {
-        cfg.restore_mode = RestoreMode::kReplay;
-      } else {
-        return fail("bad restore_mode '" + value + "'");
       }
     } else if (!need_num()) {
       return fail("key '" + key + "': non-numeric value '" + value + "'");

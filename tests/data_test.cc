@@ -1,15 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <random>
-#include <unordered_map>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "src/data/experience_buffer.h"
 #include "src/data/partial_response_pool.h"
 #include "src/data/prompt_pool.h"
-#include "src/data/recovery_order_index.h"
 #include "src/data/trajectory.h"
+#include "src/snapshot/snapshot.h"
+#include "src/snapshot/snapshot_codec.h"
 
 namespace laminar {
 namespace {
@@ -196,8 +199,11 @@ TEST(PartialResponsePoolTest, UpdateRemoveAndTakeByReplica) {
   EXPECT_FALSE(lost[0].kv_resident);
   EXPECT_EQ(pool.size(), 1u);
 
-  EXPECT_TRUE(pool.Remove(2));
-  EXPECT_FALSE(pool.Remove(2));
+  EXPECT_TRUE(pool.Contains(2));
+  EXPECT_TRUE(pool.MarkCompleted(2));
+  EXPECT_FALSE(pool.Contains(2));
+  EXPECT_FALSE(pool.MarkCompleted(2));
+  EXPECT_EQ(pool.duplicate_completions(), 1);
   EXPECT_EQ(pool.size(), 0u);
 }
 
@@ -219,7 +225,8 @@ TEST(PartialResponsePoolTest, RemoveOfMissingIdStillTombstones) {
   PartialResponsePool pool;
   // A trajectory that finished without ever checkpointing has no live entry,
   // but its completion must still enter the terminal ledger.
-  EXPECT_FALSE(pool.Remove(7));
+  EXPECT_FALSE(pool.Contains(7));
+  EXPECT_TRUE(pool.MarkCompleted(7));
   EXPECT_TRUE(pool.IsTerminal(7));
   EXPECT_EQ(pool.completed(), 1);
   // ...so a late Update from a stale owner cannot resurrect it.
@@ -365,140 +372,131 @@ TEST(PartialResponsePoolTest, ContextTokenTotalsTrackTakesAndCompletions) {
 }
 
 // ---------------------------------------------------------------------------
-// RecoveryOrderIndex: the pool's explicit order witness must reproduce the
-// iteration order of the std::unordered_map it retired, operation for
-// operation — committed corpus fingerprints depend on that order through
-// TakeByReplica's recovery sequence.
+// Recovery order: TakeByReplica returns work in ascending TrajId, whatever
+// order the ids were checkpointed, completed and dropped in, and a pool
+// adopted from a snapshot keeps recovering in that order.
 
-void ExpectSameOrder(const RecoveryOrderIndex& idx,
-                     const std::unordered_map<TrajId, EntityHandle>& ref) {
-  ASSERT_EQ(idx.size(), ref.size());
-  ASSERT_EQ(idx.bucket_count(), ref.bucket_count());
-  auto it = idx.begin();
-  for (const auto& [id, handle] : ref) {
-    ASSERT_NE(it, idx.end());
-    EXPECT_EQ(it->first, id);
-    EXPECT_EQ(it->second, handle);
-    ++it;
-  }
-  EXPECT_EQ(it, idx.end());
+std::string WritePool(PartialResponsePool& pool) {
+  SnapshotWriter w;
+  SnapshotTx tx(&w);
+  pool.Snapshot(tx);
+  return w.Finish();
 }
 
-TEST(RecoveryOrderIndexTest, MatchesUnorderedMapOperationForOperation) {
-  std::mt19937_64 rng(0xC0FFEE);
-  for (int trial = 0; trial < 30; ++trial) {
-    RecoveryOrderIndex idx;
-    std::unordered_map<TrajId, EntityHandle> ref;
-    int ops = 1500;
-    for (int op = 0; op < ops; ++op) {
-      uint64_t choice = rng() % 100;
-      if (choice < 60) {
-        // Insert-or-overwrite through operator[], as Update() does.
-        TrajId id = static_cast<TrajId>(rng() % 2500);
-        EntityHandle h = EntityHandle::Pack(static_cast<uint32_t>(rng()), 1);
-        idx[id] = h;
-        ref[id] = h;
-      } else if (choice < 85) {
-        // find + erase, as MarkCompleted()/MarkDropped() do.
-        TrajId id = static_cast<TrajId>(rng() % 2500);
-        auto it = idx.find(id);
-        auto rit = ref.find(id);
-        ASSERT_EQ(it != idx.end(), rit != ref.end());
-        if (rit != ref.end()) {
-          EXPECT_EQ(it->second, rit->second);
-          idx.erase(it);
-          ref.erase(rit);
-        }
-      } else {
-        // Conditional erase-during-scan, as TakeByReplica() does. The scan
-        // itself asserts the orders agree at every node.
-        uint64_t mod = 1 + rng() % 5;
-        uint64_t who = rng() % mod;
-        auto it = idx.begin();
-        auto rit = ref.begin();
-        while (rit != ref.end()) {
-          ASSERT_NE(it, idx.end());
-          ASSERT_EQ(it->first, rit->first);
-          if (rit->second.slot() % mod == who) {
-            it = idx.erase(it);
-            rit = ref.erase(rit);
-          } else {
-            ++it;
-            ++rit;
-          }
-        }
-        EXPECT_EQ(it, idx.end());
-      }
-      if (op % 251 == 0) {
-        ExpectSameOrder(idx, ref);
-      }
+// Adopts `blob` into `pool`; returns the adopt pass's field mismatches.
+std::vector<std::string> AdoptPool(const std::string& blob, PartialResponsePool& pool) {
+  SnapshotReader reader;
+  std::string error;
+  EXPECT_TRUE(reader.Parse(blob, &error)) << error;
+  SnapshotTx tx(&reader, SnapshotMode::kAdopt);
+  pool.Snapshot(tx);
+  return tx.mismatches();
+}
+
+void UpdateScrambled(PartialResponsePool& pool, TrajId first, TrajId last, uint64_t seed) {
+  std::vector<TrajId> ids;
+  for (TrajId id = first; id < last; ++id) {
+    ids.push_back(id);
+  }
+  std::shuffle(ids.begin(), ids.end(), std::mt19937_64(seed));
+  for (size_t i = 0; i < ids.size(); ++i) {
+    TrajectoryWork w;
+    w.record = Rec(ids[i], 0);
+    w.InitContext();
+    w.context_tokens += ids[i];
+    pool.Update(w, static_cast<int>(ids[i] % 3));
+    if (i % 7 == 3) {
+      pool.MarkCompleted(ids[i - 2]);
     }
-    ExpectSameOrder(idx, ref);
+    if (i % 11 == 5) {
+      pool.MarkDropped(ids[i - 4]);
+    }
   }
 }
 
-TEST(RecoveryOrderIndexTest, RebuildFromOrderContinuesIdentically) {
-  std::mt19937_64 rng(0xBADC0DE);
-  RecoveryOrderIndex idx;
-  std::unordered_map<TrajId, EntityHandle> ref;
-  auto step = [&](int n) {
-    for (int op = 0; op < n; ++op) {
-      uint64_t choice = rng() % 100;
-      TrajId id = static_cast<TrajId>(rng() % 800);
-      if (choice < 65) {
-        EntityHandle h = EntityHandle::Pack(static_cast<uint32_t>(rng()), 1);
-        idx[id] = h;
-        ref[id] = h;
-      } else {
-        auto it = idx.find(id);
-        auto rit = ref.find(id);
-        ASSERT_EQ(it != idx.end(), rit != ref.end());
-        if (rit != ref.end()) {
-          idx.erase(it);
-          ref.erase(rit);
-        }
-      }
-    }
-  };
-  step(700);
-  ExpectSameOrder(idx, ref);
-
-  // Serialize (bucket_count, iteration order), rebuild a fresh table from
-  // the witness, and keep going: the rebuilt table must make the same
-  // layout decisions as the original forever after.
-  std::vector<std::pair<TrajId, EntityHandle>> entries;
-  for (const auto& [id, handle] : idx) {
-    entries.emplace_back(id, handle);
+std::vector<TrajId> TakeIds(PartialResponsePool& pool, int replica) {
+  std::vector<TrajId> ids;
+  for (const TrajectoryWork& w : pool.TakeByReplica(replica)) {
+    EXPECT_EQ(w.context_tokens, w.record.spec.prompt_tokens + w.record.id);
+    ids.push_back(w.record.id);
   }
-  RecoveryOrderIndex rebuilt;
-  rebuilt.RebuildFromOrder(idx.bucket_count(), entries);
-  ExpectSameOrder(rebuilt, ref);
+  return ids;
+}
 
-  RecoveryOrderIndex* live = &rebuilt;
-  for (int op = 0; op < 900; ++op) {
-    uint64_t choice = rng() % 100;
-    TrajId id = static_cast<TrajId>(rng() % 800);
-    if (choice < 65) {
-      EntityHandle h = EntityHandle::Pack(static_cast<uint32_t>(rng()), 1);
-      (*live)[id] = h;
-      ref[id] = h;
-    } else {
-      auto it = live->find(id);
-      auto rit = ref.find(id);
-      ASSERT_EQ(it != live->end(), rit != ref.end());
-      if (rit != ref.end()) {
-        live->erase(it);
-        ref.erase(rit);
-      }
-    }
+TEST(PartialResponsePoolTest, TakeByReplicaIsAscendingIdAndSurvivesAdopt) {
+  PartialResponsePool pool;
+  UpdateScrambled(pool, 14, 160, 0x5EED);
+  PartialResponsePool adopted;
+  std::string blob = WritePool(pool);
+  std::vector<std::string> mismatches = AdoptPool(blob, adopted);
+  EXPECT_TRUE(mismatches.empty()) << mismatches.front();
+  EXPECT_EQ(WritePool(adopted), blob);
+  // Both pools then see the same further traffic, new ids and re-updates.
+  UpdateScrambled(pool, 150, 230, 0xF00D);
+  UpdateScrambled(adopted, 150, 230, 0xF00D);
+
+  size_t taken = 0;
+  for (int replica = 0; replica < 3; ++replica) {
+    std::vector<TrajId> ids = TakeIds(pool, replica);
+    ASSERT_FALSE(ids.empty());
+    EXPECT_TRUE(std::adjacent_find(ids.begin(), ids.end(),
+                                   std::greater_equal<TrajId>()) == ids.end())
+        << "replica " << replica << " recovered out of ascending id order";
+    EXPECT_EQ(TakeIds(adopted, replica), ids) << "replica " << replica;
+    taken += ids.size();
   }
-  ExpectSameOrder(rebuilt, ref);
+  EXPECT_GT(taken, 100u);
+  EXPECT_EQ(pool.size(), 0u);
+  EXPECT_EQ(adopted.size(), 0u);
+}
 
-  // The empty pre-growth table round-trips too.
-  RecoveryOrderIndex empty_rebuilt;
-  empty_rebuilt.RebuildFromOrder(1, {});
-  EXPECT_EQ(empty_rebuilt.size(), 0u);
-  EXPECT_EQ(empty_rebuilt.bucket_count(), 1u);
+// A hand-built partial_pool section listing `ids` (owner 0) in the given
+// order, with `terminal` marked in the tombstone bitmap.
+std::string PoolBlob(const std::vector<TrajId>& ids, const std::vector<TrajId>& terminal) {
+  SnapshotWriter w;
+  w.BeginSection("partial_pool");
+  for (const char* name :
+       {"updates", "completed", "dropped", "duplicate_completions", "stale_updates"}) {
+    w.I64(name, 0);
+  }
+  std::vector<uint8_t> bitmap(64, 0);
+  for (TrajId id : terminal) {
+    bitmap[static_cast<size_t>(id)] = 1;
+  }
+  ByteSink tombstones;
+  tombstones.U64(bitmap.size());
+  tombstones.Raw(bitmap.data(), bitmap.size());
+  w.Bytes("terminal", tombstones.Take());
+  ByteSink entries;
+  entries.U64(ids.size());
+  for (TrajId id : ids) {
+    TrajectoryWork work;
+    work.record = Rec(id, 0);
+    work.InitContext();
+    entries.I64(id);
+    entries.I32(0);
+    PackWork(entries, work);
+  }
+  w.Bytes("entries", entries.Take());
+  w.U64("size", ids.size());
+  w.I64("context_tokens", 0);
+  w.EndSection();
+  return w.Finish();
+}
+
+TEST(PartialResponsePoolTest, AdoptRejectsMalformedEntries) {
+  PartialResponsePool ok;
+  EXPECT_TRUE(AdoptPool(PoolBlob({3, 5}, {4}), ok).empty());
+  EXPECT_TRUE(ok.Contains(3));
+  EXPECT_TRUE(ok.Contains(5));
+  EXPECT_TRUE(ok.IsTerminal(4));
+
+  PartialResponsePool descending;
+  EXPECT_DEATH(AdoptPool(PoolBlob({5, 3}, {}), descending), "strictly ascending");
+  PartialResponsePool repeated;
+  EXPECT_DEATH(AdoptPool(PoolBlob({3, 3}, {}), repeated), "strictly ascending");
+  PartialResponsePool tombstoned;
+  EXPECT_DEATH(AdoptPool(PoolBlob({3, 5}, {5}), tombstoned), "entry 5 is terminal");
 }
 
 }  // namespace

@@ -65,13 +65,14 @@ TEST(FuzzTest, ScenarioParserSkipsUnknownKeysForwardCompatibly) {
   // A corpus file written by a newer binary carries keys this one has never
   // heard of — numeric or not — and one written by an older binary may carry
   // retired keys (the removed parallel engine's shards= and
-  // shard_lane_control=). They warn and are skipped; everything the parser
-  // does understand round-trips untouched.
+  // shard_lane_control=, the removed replay-anchored restore leg's key). They
+  // warn and are skipped; everything the parser does understand round-trips
+  // untouched.
   Scenario seeded = GenerateScenario(5);
   std::string text = ScenarioToText(seeded);
   std::string futuristic =
       text + "keys_from_the_future=1\nfuture_mode=adaptive-quorum\n" +
-      "shards=4\nshard_lane_control=0\n";
+      "shards=4\nshard_lane_control=0\nrestore_mode=replay\n";
   Scenario parsed;
   std::string error;
   ASSERT_TRUE(ScenarioFromText(futuristic, &parsed, &error)) << error;

@@ -1,10 +1,9 @@
 // Direct-boot restore suite (DESIGN.md §13): a run restarted from an LMSNAP1
-// v2 blob must be indistinguishable from one that never stopped — identical
+// blob must be indistinguishable from one that never stopped — identical
 // fingerprint (reports, iterations, series, ledger, binary trace) and an
 // identical boot-barrier re-snapshot — with the serving tier on or off, and
-// under crash-restart chaos. The replay-anchored path
-// (snapshot_verify) stays alive as the differential oracle: both recovery
-// modes must land on the same bytes.
+// under crash-restart chaos. A verify rerun (snapshot_verify) re-reaches the
+// barrier from t=0 and must land on the same bytes.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -41,10 +40,10 @@ RlSystemConfig RestoreConfig() {
   return cfg;
 }
 
-// One cell of the restore-equivalence matrix: snapshot `base` mid-run, then
-// recover both ways — replay-anchored (re-execution verifying every field
-// against the blob) and direct boot (adopt + re-mint) — and require
-// byte-identical fingerprints and blobs everywhere.
+// One cell of the restore-equivalence matrix: snapshot `base` mid-run, rerun
+// from t=0 verifying every field against the blob at the barrier, direct-boot
+// from the blob (adopt + re-mint), and require byte-identical fingerprints
+// and blobs everywhere.
 void CheckRestoreEquivalence(const RlSystemConfig& base) {
   SystemReport full = RunExperiment(base);
   ASSERT_GT(full.simulated_seconds, 0.0);
@@ -57,11 +56,11 @@ void CheckRestoreEquivalence(const RlSystemConfig& base) {
   ASSERT_FALSE(a.snapshot->empty());
   EXPECT_EQ(RunFingerprint(a), want) << "snapshot perturbed the run";
 
-  // Replay-anchored differential oracle: re-execute from t=0, pausing at the
-  // same barrier to verify field-by-field.
-  RlSystemConfig replay = snapped;
-  replay.snapshot_verify = a.snapshot;
-  SystemReport b = RunExperiment(replay);
+  // Verify rerun: re-execute from t=0, pausing at the same barrier to verify
+  // field-by-field.
+  RlSystemConfig rerun = snapped;
+  rerun.snapshot_verify = a.snapshot;
+  SystemReport b = RunExperiment(rerun);
   ASSERT_NE(b.snapshot, nullptr);
   EXPECT_EQ(*b.snapshot, *a.snapshot);
   EXPECT_TRUE(b.snapshot_mismatches.empty())
