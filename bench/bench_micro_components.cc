@@ -1,6 +1,6 @@
 // Micro-benchmarks of the hot simulator/algorithm components
 // (google-benchmark): event queue, Best-Fit consolidation, broadcast math,
-// decode-latency model, policy update.
+// decode-latency model, policy update, replica decode advance.
 #include <benchmark/benchmark.h>
 
 #include "src/common/rng.h"
@@ -9,6 +9,7 @@
 #include "src/policy/policy.h"
 #include "src/relay/broadcast_model.h"
 #include "src/repack/best_fit.h"
+#include "src/rollout/replica.h"
 #include "src/sim/simulator.h"
 
 namespace laminar {
@@ -113,6 +114,36 @@ void BM_PolicyUpdateMinibatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 512);
 }
 BENCHMARK(BM_PolicyUpdateMinibatch);
+
+// One replica decoding a fixed batch of single-segment responses long
+// enough that none finishes, with a cache far larger than the run can fill:
+// every iteration is one advance event (the step cap's worth of decode
+// steps). Time per iteration is the host cost of one decode event at the
+// given batch size.
+void BM_ReplicaDecodeAdvance(benchmark::State& state) {
+  const int batch = static_cast<int>(state.range(0));
+  Simulator sim;
+  ReplicaConfig rc;
+  rc.max_concurrency = batch;
+  DecodeModel decode(Qwen25_7B(), MachineSpec{}, 1);
+  RolloutReplica replica(&sim, rc, decode, 1.0e15);
+  std::vector<TrajectoryWork> works(static_cast<size_t>(batch));
+  for (int i = 0; i < batch; ++i) {
+    TrajectoryWork& w = works[static_cast<size_t>(i)];
+    w.record.id = i;
+    w.record.spec.prompt_tokens = 256 + i % 512;
+    w.record.spec.AppendSegment(TrajectorySegment{int64_t{1} << 40, 0.0, 0});
+    w.InitContext();
+  }
+  replica.AssignWork(std::move(works));
+  sim.Step();  // the first advance also carries the admission prefill
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim.Step());
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["batch"] = static_cast<double>(replica.metrics().batch_size.current());
+}
+BENCHMARK(BM_ReplicaDecodeAdvance)->Arg(64)->Arg(256)->Arg(1024);
 
 }  // namespace
 }  // namespace laminar

@@ -80,6 +80,16 @@ void InvariantChecker::CheckSweep() {
           << accounted << " resident=" << resident;
       Report(oss.str());
     }
+    // The decode epoch's incremental batch context against the same sum
+    // over materialized sequences: O(batch) here, once per sweep.
+    int64_t incremental = r->decode_context_tokens();
+    int64_t materialized = r->MaterializedDecodeContext();
+    if (incremental != materialized) {
+      std::ostringstream oss;
+      oss << "decode context drift on replica " << r->config().id
+          << ": incremental=" << incremental << " materialized=" << materialized;
+      Report(oss.str());
+    }
   }
   if (serving_fn_) {
     // Admitted-request conservation: every arrival is in exactly one of the

@@ -9,7 +9,8 @@
 //  2. No duplicate experience: a trajectory id enters the experience buffer
 //     at most once.
 //  3. KVCache token conservation: each replica's kv_used_tokens accounting
-//     equals the sum of context tokens of its cache-resident work.
+//     equals the sum of context tokens of its cache-resident work, and its
+//     incremental decode-batch context equals the materialized sum.
 //  4. Staleness sanity: inherent staleness of every buffered record is
 //     non-negative and (optionally) within a configured bound.
 //

@@ -84,16 +84,16 @@ void RolloutReplica::RestoreContinuation(uint16_t kind, const ContinuationPayloa
 void RolloutReplica::TouchMetrics() {
   SimTime now = sim_->Now();
   metrics_.kv_used_tokens.Set(now, kv_used_tokens_);
-  metrics_.batch_size.Set(now, static_cast<double>(running_.size()));
-  metrics_.busy.Set(now, running_.empty() ? 0.0 : 1.0);
+  metrics_.batch_size.Set(now, static_cast<double>(running_live_));
+  metrics_.busy.Set(now, running_live_ == 0 ? 0.0 : 1.0);
   LAMINAR_TRACE_COUNTER(sim_, TraceComponent::kReplica, "replica/kv_used", config_.id,
                         kv_used_tokens_);
   LAMINAR_TRACE_COUNTER(sim_, TraceComponent::kReplica, "replica/batch_size", config_.id,
-                        static_cast<double>(running_.size()));
+                        static_cast<double>(running_live_));
   // Busy edges become decode_busy spans, emitted retroactively at the falling
   // edge. Edge tracking runs unconditionally so a sink attached later still
   // sees correct begins, and stays out of the integrator state.
-  bool busy_now = !running_.empty();
+  bool busy_now = running_live_ > 0;
   if (busy_now && !trace_was_busy_) {
     trace_busy_since_ = now;
   } else if (!busy_now && trace_was_busy_) {
@@ -163,11 +163,12 @@ std::vector<TrajectoryWork> RolloutReplica::PreemptRolloutForServing(double need
   size_t scan = running_.size();
   while (scan > 0 && kv_capacity_tokens_ - kv_used_tokens_ < needed_tokens) {
     --scan;
-    if (IsServingId(running_[scan].record.id)) {
+    const RunningSeq& seq = running_[scan];
+    if (!seq.live || IsServingId(seq.work.record.id)) {
       continue;  // serving never evicts serving
     }
-    TrajectoryWork victim = std::move(running_[scan]);
-    running_.erase(running_.begin() + static_cast<std::ptrdiff_t>(scan));
+    TrajectoryWork victim = TakeRunning(scan);
+    scan = std::min(scan, running_.size());  // the tail trim may pass it
     kv_used_tokens_ -= static_cast<double>(victim.context_tokens);
     victim.kv_resident = false;
     LAMINAR_TRACE_INSTANT(sim_, TraceComponent::kReplica, "replica/serving_preempt",
@@ -175,6 +176,7 @@ std::vector<TrajectoryWork> RolloutReplica::PreemptRolloutForServing(double need
     ++metrics_.preemptions;
     evicted.push_back(std::move(victim));
   }
+  MaybeCompactRunning();
   if (phase_ == ReplicaPhase::kGenerating) {
     ScheduleAdvance();
   }
@@ -188,20 +190,23 @@ std::vector<TrajectoryWork> RolloutReplica::ExtractAllWork() {
   // Serving requests are latency-bound and pinned to their host: they stay
   // resident (running and queued) while every rollout sequence drains. With
   // the tier off this loop is the historical drain-everything path.
-  size_t keep = 0;
-  for (size_t i = 0; i < running_.size(); ++i) {
-    TrajectoryWork& w = running_[i];
-    if (IsServingId(w.record.id)) {
-      if (keep != i) {
-        running_[keep] = std::move(w);
-      }
-      ++keep;
+  std::vector<RunningSeq> kept;
+  for (RunningSeq& seq : running_) {
+    if (!seq.live) {
       continue;
     }
-    kv_used_tokens_ -= static_cast<double>(w.context_tokens);
-    out.push_back(std::move(w));
+    if (IsServingId(seq.work.record.id)) {
+      kept.push_back(std::move(seq));
+      continue;
+    }
+    Rebase(seq);
+    decode_ctx_total_ -= seq.work.context_tokens;
+    kv_used_tokens_ -= static_cast<double>(seq.work.context_tokens);
+    out.push_back(std::move(seq.work));
   }
-  running_.resize(keep);
+  running_ = std::move(kept);
+  running_live_ = running_.size();
+  RebuildBoundaryHeap();
   // Env-waiting work: the sandbox call outlives the hosting replica (results
   // flow through the manager), so we resolve the interaction here: feedback
   // is appended to the context and the trajectory resumes at its next
@@ -213,7 +218,7 @@ std::vector<TrajectoryWork> RolloutReplica::ExtractAllWork() {
     sim_->Cancel(env_waiting_.Get(h)->event);
   }
   for (EntityHandle h : env_handles) {
-    TrajectoryWork w = std::move(env_waiting_.Remove(h).work);
+    TrajectoryWork w = RemoveEnv(h);
     kv_used_tokens_ -= static_cast<double>(w.context_tokens);
     w.kv_resident = false;
     const TrajectorySegment& seg = w.current_segment();
@@ -335,8 +340,10 @@ void RolloutReplica::Resume(int new_version, bool recompute_kv) {
         w.record.weight_versions.push_back(new_version);
       }
     };
-    for (auto& w : running_) {
-      stamp(w);
+    for (RunningSeq& seq : running_) {
+      if (seq.live) {
+        stamp(seq.work);
+      }
     }
     env_waiting_.ForEach([&stamp](EntityHandle, EnvEntry& e) { stamp(e.work); });
     if (recompute_kv) {
@@ -344,10 +351,7 @@ void RolloutReplica::Resume(int new_version, bool recompute_kv) {
       // context must be re-prefilled (the paper's partial-rollout overhead).
       // Context counts are integers below 2^53, so this double sum is exact
       // and independent of traversal order.
-      double recompute_tokens = 0.0;
-      for (const auto& w : running_) {
-        recompute_tokens += static_cast<double>(w.context_tokens);
-      }
+      double recompute_tokens = static_cast<double>(MaterializedDecodeContext());
       env_waiting_.ForEach([&recompute_tokens](EntityHandle, const EnvEntry& e) {
         recompute_tokens += static_cast<double>(e.work.context_tokens);
       });
@@ -378,8 +382,11 @@ std::vector<TrajectoryWork> RolloutReplica::Kill() {
     discarded.push_back(std::move(w));
   }
   running_.clear();
+  running_live_ = 0;
+  decode_ctx_total_ = 0;
+  boundary_heap_.clear();
   waiting_.clear();
-  env_waiting_.Clear();
+  ClearEnv();
   num_serving_ = 0;  // resident serving requests die with the machine
   kv_used_tokens_ = 0.0;
   pending_stall_seconds_ = 0.0;
@@ -415,10 +422,8 @@ void RolloutReplica::SetSpeedFactor(double factor) {
 }
 
 double RolloutReplica::ResidentKvTokens() const {
-  double total = 0.0;
-  for (const TrajectoryWork& w : running_) {
-    total += static_cast<double>(w.context_tokens);
-  }
+  // Context counts are integers below 2^53, so the double sum is exact.
+  double total = static_cast<double>(MaterializedDecodeContext());
   env_waiting_.ForEach([&total](EntityHandle, const EnvEntry& e) {
     if (e.work.kv_resident) {
       total += static_cast<double>(e.work.context_tokens);
@@ -427,33 +432,80 @@ double RolloutReplica::ResidentKvTokens() const {
   return total;
 }
 
+int64_t RolloutReplica::MaterializedDecodeContext() const {
+  int64_t total = 0;
+  for (const RunningSeq& seq : running_) {
+    if (seq.live) {
+      total += seq.work.context_tokens + (decode_epoch_ - seq.base);
+    }
+  }
+  return total;
+}
+
+void RolloutReplica::SkewDecodeBaseForTest(int64_t delta) {
+  for (RunningSeq& seq : running_) {
+    if (seq.live) {
+      seq.base -= delta;
+      return;
+    }
+  }
+}
+
 std::vector<EntityHandle> RolloutReplica::EnvHandlesInSeqOrder() const {
   std::vector<EntityHandle> handles;
   handles.reserve(env_waiting_.size());
-  env_waiting_.ForEach(
-      [&handles](EntityHandle h, const EnvEntry&) { handles.push_back(h); });
-  std::sort(handles.begin(), handles.end(),
-            [this](EntityHandle a, EntityHandle b) {
-              return env_waiting_.Get(a)->seq < env_waiting_.Get(b)->seq;
-            });
+  for (size_t i = env_head_; i < env_by_seq_.size(); ++i) {
+    if (env_by_seq_[i].valid()) {
+      handles.push_back(env_by_seq_[i]);
+    }
+  }
   return handles;
 }
 
 EntityHandle RolloutReplica::FindEnvBySeq(uint64_t seq) const {
-  // Linear scan over trajectories currently out on env calls. Rejoins fire
-  // once per sandbox round-trip — orders of magnitude rarer than decode
-  // steps — so the stable-key lookup costs nothing measurable, and the
-  // payload stays reconstructible (DESIGN.md §13).
   EntityHandle found;
-  bool hit = false;
-  env_waiting_.ForEach([&](EntityHandle h, const EnvEntry& e) {
-    if (e.seq == seq) {
-      found = h;
-      hit = true;
-    }
-  });
-  LAMINAR_CHECK(hit) << "env rejoin for unknown seq " << seq;
+  if (seq >= env_seq_front_ && seq - env_seq_front_ < env_by_seq_.size() - env_head_) {
+    found = env_by_seq_[env_head_ + (seq - env_seq_front_)];
+  }
+  LAMINAR_CHECK(found.valid()) << "env rejoin for unknown seq " << seq;
   return found;
+}
+
+void RolloutReplica::InsertEnv(EnvEntry entry) {
+  // Seqs arrive in increasing order (live calls mint ++env_seq_; adoption
+  // replays them ascending), so the index only grows at its back.
+  uint64_t seq = entry.seq;
+  LAMINAR_CHECK_GE(seq, env_seq_front_ + (env_by_seq_.size() - env_head_))
+      << "env seq " << seq << " out of order";
+  if (env_head_ == env_by_seq_.size()) {
+    env_by_seq_.clear();
+    env_head_ = 0;
+    env_seq_front_ = seq;
+  }
+  env_by_seq_.resize(env_head_ + (seq - env_seq_front_), EntityHandle{});
+  env_by_seq_.push_back(env_waiting_.Insert(std::move(entry)));
+}
+
+TrajectoryWork RolloutReplica::RemoveEnv(EntityHandle handle) {
+  EnvEntry entry = env_waiting_.Remove(handle);
+  env_by_seq_[env_head_ + (entry.seq - env_seq_front_)] = EntityHandle{};
+  while (env_head_ < env_by_seq_.size() && !env_by_seq_[env_head_].valid()) {
+    ++env_head_;
+    ++env_seq_front_;
+  }
+  if (env_head_ > 32 && env_head_ * 2 > env_by_seq_.size()) {
+    env_by_seq_.erase(env_by_seq_.begin(),
+                      env_by_seq_.begin() + static_cast<std::ptrdiff_t>(env_head_));
+    env_head_ = 0;
+  }
+  return std::move(entry.work);
+}
+
+void RolloutReplica::ClearEnv() {
+  env_waiting_.Clear();
+  env_by_seq_.clear();
+  env_head_ = 0;
+  env_seq_front_ = 0;
 }
 
 int64_t RolloutReplica::ObservedDecodeTokens() const {
@@ -473,12 +525,12 @@ RolloutReplica::DecodeProbeSample RolloutReplica::ObservedDecodeProbe() const {
           static_cast<int64_t>(std::floor(decode_elapsed / advance_step_latency_));
       done = std::min(done, advance_steps_);
       if (done > 0) {
-        double batch = static_cast<double>(running_.size());
+        double batch = static_cast<double>(running_live_);
         double busy = static_cast<double>(done) * advance_step_latency_;
         s.busy_seconds += busy;
         s.request_seconds += busy * batch;
         s.ctx_request_seconds += busy * batch * advance_avg_ctx_;
-        s.tokens += done * static_cast<int64_t>(running_.size());
+        s.tokens += done * static_cast<int64_t>(running_live_);
       }
     }
   }
@@ -525,11 +577,9 @@ void RolloutReplica::SyncProgress() {
     done = std::max<int64_t>(done, 0);
   }
   if (done > 0) {
-    int64_t batch = static_cast<int64_t>(running_.size());
-    for (TrajectoryWork& w : running_) {
-      w.decoded_in_segment += done;
-      w.context_tokens += done;
-    }
+    int64_t batch = static_cast<int64_t>(running_live_);
+    decode_epoch_ += done;
+    decode_ctx_total_ += batch * done;
     kv_used_tokens_ += static_cast<double>(batch * done);
     metrics_.decode_tokens += batch * done;
     CreditDecodeProbe(done, batch);
@@ -544,27 +594,23 @@ void RolloutReplica::ScheduleAdvance() {
     return;
   }
   SyncProgress();
-  if (running_.empty()) {
+  if (running_live_ == 0) {
     TryAdmit();
-    if (running_.empty()) {
+    if (running_live_ == 0) {
       TouchMetrics();
       return;  // everything is env-waiting or the replica drained
     }
   }
   PreemptForHeadroom();
-  if (running_.empty()) {
+  if (running_live_ == 0) {
     TouchMetrics();
     return;
   }
-  int batch = static_cast<int>(running_.size());
-  // Integer accumulation: context counts stay below 2^53, so this equals the
-  // old double-by-double sum bit-for-bit while keeping the loop integer-only.
-  int64_t total_ctx = 0;
-  int64_t min_remaining = INT64_MAX;
-  for (const TrajectoryWork& w : running_) {
-    total_ctx += w.context_tokens;
-    min_remaining = std::min(min_remaining, w.remaining_in_segment());
-  }
+  int batch = static_cast<int>(running_live_);
+  // Integer total: context counts stay below 2^53, so one conversion equals
+  // summing the doubles one by one, bit-for-bit.
+  int64_t total_ctx = decode_ctx_total_;
+  int64_t min_remaining = NextBoundaryEpoch() - decode_epoch_;
   LAMINAR_CHECK_GE(min_remaining, 1);
   double avg_ctx = static_cast<double>(total_ctx) / batch;
   double step_latency = decode_.StepLatency(batch, avg_ctx) / speed_factor_;
@@ -591,21 +637,21 @@ void RolloutReplica::PreemptForHeadroom() {
   // steps; evicting the most recently admitted sequence frees its context
   // (it will re-prefill once space reappears). Serving requests are skipped
   // while any rollout sequence remains — the tier's KV priority.
-  while (!running_.empty() &&
+  while (running_live_ > 0 &&
          kv_capacity_tokens_ - kv_used_tokens_ <
-             static_cast<double>(running_.size() * config_.kv_preempt_headroom_steps)) {
-    size_t victim_idx = running_.size() - 1;
+             static_cast<double>(running_live_ * config_.kv_preempt_headroom_steps)) {
+    size_t victim_idx = running_.size() - 1;  // the tail is always live
     if (num_serving_ > 0) {
       size_t i = running_.size();
-      while (i > 0 && IsServingId(running_[i - 1].record.id)) {
+      while (i > 0 &&
+             (!running_[i - 1].live || IsServingId(running_[i - 1].work.record.id))) {
         --i;
       }
       if (i > 0) {
         victim_idx = i - 1;
       }
     }
-    TrajectoryWork victim = std::move(running_[victim_idx]);
-    running_.erase(running_.begin() + static_cast<std::ptrdiff_t>(victim_idx));
+    TrajectoryWork victim = TakeRunning(victim_idx);
     kv_used_tokens_ -= static_cast<double>(victim.context_tokens);
     victim.kv_resident = false;
     LAMINAR_TRACE_INSTANT(sim_, TraceComponent::kReplica, "replica/preempt", config_.id,
@@ -613,19 +659,20 @@ void RolloutReplica::PreemptForHeadroom() {
     waiting_.push_front(std::move(victim));
     ++metrics_.preemptions;
   }
+  MaybeCompactRunning();
 }
 
 void RolloutReplica::TryAdmit() {
   double admit_limit = kv_capacity_tokens_ * (1.0 - config_.admit_headroom_frac);
   while (!waiting_.empty()) {
-    int active = static_cast<int>(running_.size() + env_waiting_.size());
+    int active = static_cast<int>(running_live_ + env_waiting_.size());
     if (active >= config_.max_concurrency) {
       break;
     }
     TrajectoryWork& front = waiting_.front();
     double needed = static_cast<double>(front.context_tokens);
     double growth_reserve = static_cast<double>(
-        (static_cast<int64_t>(running_.size()) + 1) * config_.kv_growth_reserve_steps);
+        (static_cast<int64_t>(running_live_) + 1) * config_.kv_growth_reserve_steps);
     if (kv_used_tokens_ + needed + growth_reserve > admit_limit) {
       break;
     }
@@ -644,39 +691,35 @@ void RolloutReplica::TryAdmit() {
     if (on_progress_) {
       on_progress_(w, config_.id);
     }
-    running_.push_back(std::move(w));
+    PushRunning(std::move(w));
   }
 }
 
 void RolloutReplica::Advance(int64_t steps) {
   advance_event_ = kInvalidEventId;
-  LAMINAR_CHECK(!running_.empty());
-  int64_t batch = static_cast<int64_t>(running_.size());
-  for (TrajectoryWork& w : running_) {
-    w.decoded_in_segment += steps;
-    w.context_tokens += steps;
-  }
+  LAMINAR_CHECK_GT(running_live_, 0u);
+  int64_t batch = static_cast<int64_t>(running_live_);
+  decode_epoch_ += steps;
+  decode_ctx_total_ += batch * steps;
   kv_used_tokens_ += static_cast<double>(batch * steps);
   metrics_.decode_tokens += batch * steps;
   CreditDecodeProbe(steps, batch);
 
-  // Split out the sequences that hit their segment boundary: stable in-place
-  // compaction of the survivors (same relative order as the old two-vector
-  // split, without reallocating the batch every advance).
+  // Pop the sequences that hit their segment boundary. `steps` never passes
+  // the earliest boundary, so every live entry popped here sits exactly on
+  // this epoch and ties pop in stamp order — the batch's running order.
   boundary_scratch_.clear();
-  size_t write = 0;
-  for (size_t read = 0; read < running_.size(); ++read) {
-    TrajectoryWork& w = running_[read];
-    if (w.remaining_in_segment() <= 0) {
-      boundary_scratch_.push_back(std::move(w));
-    } else {
-      if (write != read) {
-        running_[write] = std::move(w);
-      }
-      ++write;
+  while (!boundary_heap_.empty() && boundary_heap_.front().epoch <= decode_epoch_) {
+    std::pop_heap(boundary_heap_.begin(), boundary_heap_.end(), BoundaryLater);
+    BoundaryKey key = boundary_heap_.back();
+    boundary_heap_.pop_back();
+    if (!Live(key)) {
+      continue;  // the sequence left the batch before its boundary
     }
+    LAMINAR_CHECK_EQ(key.epoch, decode_epoch_);
+    boundary_scratch_.push_back(TakeRunning(key.index));
   }
-  running_.resize(write);
+  MaybeCompactRunning();
   for (TrajectoryWork& w : boundary_scratch_) {
     FinishSegment(std::move(w));
   }
@@ -686,12 +729,79 @@ void RolloutReplica::Advance(int64_t steps) {
   CheckBatchDone();
 }
 
+void RolloutReplica::PushRunning(TrajectoryWork work) {
+  int64_t remaining = work.remaining_in_segment();
+  LAMINAR_CHECK_GE(remaining, 1);
+  decode_ctx_total_ += work.context_tokens;
+  RunningSeq seq;
+  seq.work = std::move(work);
+  seq.base = decode_epoch_;
+  seq.stamp = next_stamp_++;
+  seq.live = true;
+  boundary_heap_.push_back(
+      BoundaryKey{decode_epoch_ + remaining, seq.stamp, running_.size()});
+  std::push_heap(boundary_heap_.begin(), boundary_heap_.end(), BoundaryLater);
+  running_.push_back(std::move(seq));
+  ++running_live_;
+}
+
+TrajectoryWork RolloutReplica::TakeRunning(size_t index) {
+  RunningSeq& seq = running_[index];
+  LAMINAR_CHECK(seq.live);
+  Rebase(seq);
+  TrajectoryWork work = std::move(seq.work);
+  decode_ctx_total_ -= work.context_tokens;
+  seq.live = false;
+  --running_live_;
+  while (!running_.empty() && !running_.back().live) {
+    running_.pop_back();
+  }
+  return work;
+}
+
+void RolloutReplica::Rebase(RunningSeq& seq) const {
+  int64_t steps = decode_epoch_ - seq.base;
+  seq.work.context_tokens += steps;
+  seq.work.decoded_in_segment += steps;
+  seq.base = decode_epoch_;
+}
+
+int64_t RolloutReplica::NextBoundaryEpoch() {
+  while (!Live(boundary_heap_.front())) {
+    std::pop_heap(boundary_heap_.begin(), boundary_heap_.end(), BoundaryLater);
+    boundary_heap_.pop_back();
+  }
+  return boundary_heap_.front().epoch;
+}
+
+void RolloutReplica::MaybeCompactRunning() {
+  size_t dead = running_.size() - running_live_;
+  if (dead > 32 && dead > running_live_) {
+    std::erase_if(running_, [](const RunningSeq& seq) { return !seq.live; });
+    RebuildBoundaryHeap();
+  } else if (boundary_heap_.size() > 2 * running_live_ + 64) {
+    RebuildBoundaryHeap();
+  }
+}
+
+void RolloutReplica::RebuildBoundaryHeap() {
+  boundary_heap_.clear();
+  for (size_t i = 0; i < running_.size(); ++i) {
+    const RunningSeq& seq = running_[i];
+    if (seq.live) {
+      boundary_heap_.push_back(
+          BoundaryKey{seq.base + seq.work.remaining_in_segment(), seq.stamp, i});
+    }
+  }
+  std::make_heap(boundary_heap_.begin(), boundary_heap_.end(), BoundaryLater);
+}
+
 void RolloutReplica::FinishSegment(TrajectoryWork work) {
   const TrajectorySegment& seg = work.current_segment();
   if (seg.env_latency > 0.0) {
     // Trajectory leaves the decode batch for its sandbox call; the KV pages
     // stay resident so no recompute is needed on rejoin. The rejoin event
-    // captures the slab handle, so no id search is needed when it fires.
+    // names the entry by seq, which env_by_seq_ resolves in O(1).
     if (on_progress_) {
       on_progress_(work, config_.id);
     }
@@ -699,8 +809,8 @@ void RolloutReplica::FinishSegment(TrajectoryWork work) {
     entry.work = std::move(work);
     entry.at = sim_->Now() + seg.env_latency;
     entry.seq = ++env_seq_;
-    EntityHandle handle = env_waiting_.Insert(std::move(entry));
-    EnvEntry* stored = env_waiting_.Get(handle);
+    InsertEnv(std::move(entry));
+    EnvEntry* stored = env_waiting_.Get(env_by_seq_.back());
     // The event payload names the entry by seq, not by slab handle: the seq
     // is stable across snapshot adoption (handles are a memory-layout
     // artifact), so the descriptor serializes and re-mints byte-exactly.
@@ -714,14 +824,14 @@ void RolloutReplica::FinishSegment(TrajectoryWork work) {
   if (work.finished()) {
     CompleteTrajectory(std::move(work));
   } else {
-    running_.push_back(std::move(work));
+    PushRunning(std::move(work));
   }
 }
 
 void RolloutReplica::RejoinFromEnv(EntityHandle handle) {
   SyncProgress();
   LAMINAR_CHECK(env_waiting_.Contains(handle)) << "env rejoin with a stale handle";
-  TrajectoryWork work = std::move(env_waiting_.Remove(handle).work);
+  TrajectoryWork work = RemoveEnv(handle);
   const TrajectorySegment& seg = work.current_segment();
   // Sandbox output becomes new context: it occupies KV and must be prefilled.
   work.context_tokens += seg.feedback_tokens;
@@ -736,7 +846,7 @@ void RolloutReplica::RejoinFromEnv(EntityHandle handle) {
   if (work.finished()) {
     CompleteTrajectory(std::move(work));
   } else if (work.kv_resident) {
-    running_.push_back(std::move(work));
+    PushRunning(std::move(work));
   } else {
     waiting_.push_front(std::move(work));
   }
@@ -792,9 +902,13 @@ void RolloutReplica::SnapshotState(SnapshotTx& tx) {
   SnapshotPacked(
       tx, "queues",
       [this](ByteSink& s) {
-        s.U64(running_.size());
-        for (const TrajectoryWork& w : running_) {
-          PackWork(s, w);
+        // Written materialized, so the record is independent of the epoch.
+        s.U64(running_live_);
+        for (RunningSeq& seq : running_) {
+          if (seq.live) {
+            Rebase(seq);
+            PackWork(s, seq.work);
+          }
         }
         s.U64(waiting_.size());
         for (const TrajectoryWork& w : waiting_) {
@@ -809,17 +923,24 @@ void RolloutReplica::SnapshotState(SnapshotTx& tx) {
         }
       },
       [this](ByteSource& s) {
+        // The batch is rebased at epoch 0: stamps follow the record order,
+        // and the boundary heap and context total are rebuilt from it.
         running_.clear();
+        running_live_ = 0;
+        decode_epoch_ = 0;
+        next_stamp_ = 0;
+        decode_ctx_total_ = 0;
+        boundary_heap_.clear();
         uint64_t num_running = s.U64();
         running_.reserve(static_cast<size_t>(num_running));
         for (uint64_t i = 0; i < num_running; ++i) {
-          running_.push_back(UnpackWork(s));
+          PushRunning(UnpackWork(s));
         }
         waiting_.clear();
         for (uint64_t i = 0, n = s.U64(); i < n; ++i) {
           waiting_.push_back(UnpackWork(s));
         }
-        env_waiting_.Clear();
+        ClearEnv();
         uint64_t num_env = s.U64();
         env_waiting_.Reserve(static_cast<size_t>(num_env));
         for (uint64_t i = 0; i < num_env; ++i) {
@@ -827,7 +948,8 @@ void RolloutReplica::SnapshotState(SnapshotTx& tx) {
           e.work = UnpackWork(s);
           e.at = s.Time();
           e.seq = s.U64();
-          env_waiting_.Insert(std::move(e));
+          LAMINAR_CHECK_LE(e.seq, env_seq_) << "env seq beyond the minted range";
+          InsertEnv(std::move(e));
         }
       });
   // In-flight advance metadata for partial-progress crediting; the event

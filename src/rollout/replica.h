@@ -8,6 +8,16 @@
 // clock straight to the next boundary (trajectory segment end, KVCache
 // exhaustion, or a step cap that bounds interpolation error).
 //
+// A decode event costs O(finishers · log batch), not O(batch) (DESIGN.md
+// §11, "Decode epoch"). The replica counts the decode steps applied to the
+// batch in `decode_epoch_`; each running sequence stores its counters as of
+// the epoch it last joined or was read (`base`), so a step is one epoch bump.
+// The batch's total context is kept incrementally, and the sequences that
+// reach a segment boundary pop off a min-heap keyed on (boundary epoch,
+// running-order stamp), so they come out in batch order. Counters are
+// materialized only where something reads them: completions, env calls,
+// progress callbacks, preemption, extraction, snapshots and the KV audit.
+//
 // KVCache accounting follows the paper's Figure 9 lifecycle: admissions fill
 // the cache to ~C_max, waiting trajectories backfill freed space, and only
 // when the waiting queue drains does utilization ramp down — the signal the
@@ -180,9 +190,9 @@ class RolloutReplica : public ContinuationClient {
 
   // Introspection ---------------------------------------------------------------
   ReplicaPhase phase() const { return phase_; }
-  bool busy() const { return !running_.empty() || !waiting_.empty() || !env_waiting_.empty(); }
+  bool busy() const { return running_live_ > 0 || !waiting_.empty() || !env_waiting_.empty(); }
   int num_reqs() const {
-    return static_cast<int>(running_.size() + waiting_.size() + env_waiting_.size());
+    return static_cast<int>(running_live_ + waiting_.size() + env_waiting_.size());
   }
   // Resident serving requests (subset of num_reqs; 0 when the tier is off).
   int num_serving() const { return num_serving_; }
@@ -193,8 +203,17 @@ class RolloutReplica : public ContinuationClient {
   // tokens of every cache-resident trajectory (the whole decode batch plus
   // env-waiting work that kept its pages). Queued work never counts, even
   // when flagged kv_resident for an in-flight migration — its pages are
-  // charged at admission.
+  // charged at admission. Always sums materialized per-sequence context,
+  // never the incremental total below, so the audit cannot become circular.
   double ResidentKvTokens() const;
+  // The decode batch's total context as kept incrementally by the decode
+  // epoch, and the same quantity summed over the materialized batch
+  // (O(batch)). The invariant checker's "decode context" check compares them.
+  int64_t decode_context_tokens() const { return decode_ctx_total_; }
+  int64_t MaterializedDecodeContext() const;
+  // Shifts the first running sequence's epoch base by `delta` steps, so its
+  // materialized counters drift from the incremental total. Tests only.
+  void SkewDecodeBaseForTest(int64_t delta);
   ReplicaSnapshot Snapshot() const;
   const ReplicaConfig& config() const { return config_; }
   const DecodeModel& decode_model() const { return decode_; }
@@ -280,15 +299,77 @@ class RolloutReplica : public ContinuationClient {
     uint64_t seq = 0;
   };
 
-  // Live env entries sorted by seq — the old insertion order.
+  // Live env entries in seq order — the old insertion order.
   std::vector<EntityHandle> EnvHandlesInSeqOrder() const;
   // Resolves a rejoin payload's seq to the live slab handle (CHECKs on miss).
   EntityHandle FindEnvBySeq(uint64_t seq) const;
+  void InsertEnv(EnvEntry entry);
+  TrajectoryWork RemoveEnv(EntityHandle handle);
+  void ClearEnv();
 
-  std::vector<TrajectoryWork> running_;
+  // One sequence of the decode batch. `work`'s counters are current as of
+  // decode epoch `base`: the true context_tokens and decoded_in_segment add
+  // decode_epoch_ - base. `stamp` is assigned on every push into the batch,
+  // so running_ is sorted by it. Removed sequences stay as tombstones
+  // (live == false) until compaction, except at the tail, which is trimmed.
+  struct RunningSeq {
+    TrajectoryWork work;
+    int64_t base = 0;
+    uint64_t stamp = 0;
+    bool live = false;
+  };
+  // Boundary heap entry: the epoch at which the sequence stamped `stamp`
+  // finishes its segment, and its slot in running_ (stable until the next
+  // compaction, which rebuilds the heap). Entries of removed sequences are
+  // skipped lazily.
+  struct BoundaryKey {
+    int64_t epoch = 0;
+    uint64_t stamp = 0;
+    size_t index = 0;
+  };
+  static bool BoundaryLater(const BoundaryKey& a, const BoundaryKey& b) {
+    return a.epoch > b.epoch || (a.epoch == b.epoch && a.stamp > b.stamp);
+  }
+
+  // Decode-epoch batch primitives (DESIGN.md §11). PushRunning appends at
+  // the batch tail with a fresh stamp; TakeRunning materializes and removes
+  // one sequence, leaving a tombstone unless it was the tail.
+  void PushRunning(TrajectoryWork work);
+  TrajectoryWork TakeRunning(size_t index);
+  // Brings `seq`'s counters current to decode_epoch_.
+  void Rebase(RunningSeq& seq) const;
+  // Epoch of the earliest segment boundary in the batch (prunes stale heap
+  // entries first). Requires a non-empty batch.
+  int64_t NextBoundaryEpoch();
+  // False for heap entries whose sequence has left the batch.
+  bool Live(const BoundaryKey& key) const {
+    return key.index < running_.size() && running_[key.index].stamp == key.stamp &&
+           running_[key.index].live;
+  }
+  // Drops tombstones once they outnumber live sequences, and rebuilds the
+  // boundary heap once stale entries dominate it.
+  void MaybeCompactRunning();
+  void RebuildBoundaryHeap();
+
+  std::vector<RunningSeq> running_;
+  size_t running_live_ = 0;
+  int64_t decode_epoch_ = 0;
+  uint64_t next_stamp_ = 0;
+  // Σ materialized context_tokens over the live batch.
+  int64_t decode_ctx_total_ = 0;
+  std::vector<BoundaryKey> boundary_heap_;
   std::deque<TrajectoryWork> waiting_;
   EntityTable<EnvEntry> env_waiting_;
   uint64_t env_seq_ = 0;
+  // seq -> slab handle: env_by_seq_[env_head_ + i] holds seq
+  // env_seq_front_ + i. Entries whose call already returned hold the invalid
+  // handle; the front advances to the oldest live seq, and the consumed
+  // prefix is erased once it is half the vector. Seqs are minted in
+  // increasing order, so inserts only append; an empty index re-anchors at
+  // the next insert.
+  std::vector<EntityHandle> env_by_seq_;
+  size_t env_head_ = 0;
+  uint64_t env_seq_front_ = 0;
   // Serving requests currently resident (running_ + waiting_) and the
   // lifetime assignment count (gates the snapshot fields so serving-off blobs
   // keep their historical layout).
