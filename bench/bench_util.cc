@@ -37,6 +37,22 @@ void LoadRestoreFile(const char* path) {
   g_restore_armed = true;
 }
 
+// "<base>.<NNN><ext>": the `index`-th output file of a --trace-out or
+// --snapshot-out path, numbered before the path's extension (if any).
+std::string NumberedPath(const std::string& path, int index) {
+  std::string base = path;
+  std::string ext;
+  size_t slash = base.find_last_of('/');
+  size_t dot = base.find_last_of('.');
+  if (dot != std::string::npos && (slash == std::string::npos || dot > slash)) {
+    ext = base.substr(dot);
+    base.resize(dot);
+  }
+  char num[16];
+  std::snprintf(num, sizeof(num), ".%03d", index);
+  return base + num + ext;
+}
+
 }  // namespace
 
 void InitBenchTracing(int argc, char** argv) {
@@ -105,17 +121,7 @@ void MaybeWriteSnapshot(const SystemReport& report) {
     }
   }
   if (!g_snapshot_out.empty()) {
-    std::string base = g_snapshot_out;
-    std::string ext;
-    size_t slash = base.find_last_of('/');
-    size_t dot = base.find_last_of('.');
-    if (dot != std::string::npos && (slash == std::string::npos || dot > slash)) {
-      ext = base.substr(dot);
-      base.resize(dot);
-    }
-    char num[16];
-    std::snprintf(num, sizeof(num), ".%03d", g_snapshot_index++);
-    std::string path = base + num + ext;
+    std::string path = NumberedPath(g_snapshot_out, g_snapshot_index++);
     SnapshotFile file;
     file.scenario_text = report.label;
     file.snapshot_at = report.snapshot_taken_at_seconds;
@@ -123,6 +129,11 @@ void MaybeWriteSnapshot(const SystemReport& report) {
     std::ofstream out(path, std::ios::binary);
     std::string encoded = EncodeSnapshotFile(file);
     out.write(encoded.data(), static_cast<std::streamsize>(encoded.size()));
+    out.close();
+    if (!out) {
+      std::fprintf(stderr, "snapshot: cannot write %s\n", path.c_str());
+      std::exit(1);
+    }
     std::fprintf(stderr, "snapshot: %zu bytes at t=%.6g s -> %s\n",
                  encoded.size(), file.snapshot_at, path.c_str());
   }
@@ -132,18 +143,11 @@ void MaybeWriteTrace(const SystemReport& report) {
   if (!BenchTracingEnabled() || report.trace == nullptr) {
     return;
   }
-  std::string base = g_trace_out;
-  std::string ext;
-  size_t slash = base.find_last_of('/');
-  size_t dot = base.find_last_of('.');
-  if (dot != std::string::npos && (slash == std::string::npos || dot > slash)) {
-    ext = base.substr(dot);
-    base.resize(dot);
+  std::string path = NumberedPath(g_trace_out, g_trace_index++);
+  if (!WriteTraceFile(*report.trace, path)) {
+    std::fprintf(stderr, "trace: cannot write %s\n", path.c_str());
+    std::exit(1);
   }
-  char num[16];
-  std::snprintf(num, sizeof(num), ".%03d", g_trace_index++);
-  std::string path = base + num + ext;
-  WriteTraceFile(*report.trace, path);
   std::fprintf(stderr, "trace: %zu events (%llu emitted) -> %s\n", report.trace->size(),
                static_cast<unsigned long long>(report.trace->total_emitted()),
                path.c_str());

@@ -42,7 +42,8 @@ bool BenchTracingEnabled();
 // Enables trace capture on `cfg` when --trace-out was given (for harnesses
 // that build drivers directly instead of going through RunSweep).
 void ArmTrace(RlSystemConfig& cfg);
-// Writes the report's trace (if any) to the next numbered output file.
+// Writes the report's trace (if any) to the next numbered output file; a
+// failed write is reported on stderr and exits with status 1.
 void MaybeWriteTrace(const SystemReport& report);
 
 // Warm-start snapshots --------------------------------------------------------
@@ -54,7 +55,8 @@ void MaybeWriteTrace(const SystemReport& report);
 // "<base>.<NNN><ext>" warm-start file (submission order, like --trace-out).
 // `--restore-from <file>` direct-boots every config from the file's blob:
 // adopt it and re-mint the event heap in wall-clock independent of the
-// barrier time (DESIGN.md §13).
+// barrier time (DESIGN.md §13). A warm-start file that cannot be written is
+// reported on stderr and exits with status 1.
 // All notices and mismatch reports go to stderr; stdout never moves.
 void ArmSnapshot(RlSystemConfig& cfg);
 void MaybeWriteSnapshot(const SystemReport& report);

@@ -6,10 +6,12 @@
 // repack mechanism's activity.
 //
 //   ./math_rl_campaign --gpus 128 --iters 12
+#include <algorithm>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "src/common/flags.h"
-#include "src/common/histogram.h"
 #include "src/common/table.h"
 #include "src/core/run.h"
 
@@ -56,11 +58,25 @@ int main(int argc, char** argv) {
   iters.Print();
 
   std::printf("\nInherent staleness distribution (version lag at trajectory finish):\n");
-  Histogram staleness(0.0, 8.0, 8);
+  // One row per version lag 0..7; lag 8 joins the last row, and lags past it
+  // count toward the percentages only.
+  std::vector<size_t> lags(8, 0);
   for (const auto& [t, s] : rep.staleness_samples) {
-    staleness.Add(static_cast<double>(s));
+    if (s >= 0 && s <= 8) {
+      ++lags[static_cast<size_t>(std::min(s, 7))];
+    }
   }
-  std::printf("%s", staleness.ToAscii().c_str());
+  size_t peak = *std::max_element(lags.begin(), lags.end());
+  for (size_t lag = 0; lag < lags.size(); ++lag) {
+    if (lags[lag] == 0) {
+      continue;
+    }
+    std::printf("[%10.1f, %10.1f) %8zu %5.1f%% %s\n", static_cast<double>(lag),
+                static_cast<double>(lag + 1), lags[lag],
+                100.0 * static_cast<double>(lags[lag]) /
+                    static_cast<double>(rep.staleness_samples.size()),
+                std::string(lags[lag] * 50 / peak, '#').c_str());
+  }
 
   Table rollout({"rollout metric", "value"});
   rollout.AddRow({"replicas", Table::Int(rep.num_replicas)});

@@ -7,68 +7,6 @@
 #include "src/common/logging.h"
 
 namespace laminar {
-namespace {
-
-std::string RenderRows(const std::vector<size_t>& counts, size_t total, size_t max_width,
-                       const std::vector<std::pair<double, double>>& edges) {
-  size_t peak = 0;
-  for (size_t c : counts) {
-    peak = std::max(peak, c);
-  }
-  std::string out;
-  char line[160];
-  for (size_t i = 0; i < counts.size(); ++i) {
-    if (counts[i] == 0) {
-      continue;
-    }
-    size_t bar = peak == 0 ? 0 : counts[i] * max_width / peak;
-    double pct = total == 0 ? 0.0 : 100.0 * static_cast<double>(counts[i]) /
-                                        static_cast<double>(total);
-    std::snprintf(line, sizeof(line), "[%10.1f, %10.1f) %8zu %5.1f%% ", edges[i].first,
-                  edges[i].second, counts[i], pct);
-    out += line;
-    out.append(bar, '#');
-    out += '\n';
-  }
-  return out;
-}
-
-}  // namespace
-
-Histogram::Histogram(double lo, double hi, size_t num_buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(num_buckets)),
-      counts_(num_buckets, 0) {
-  LAMINAR_CHECK(hi > lo);
-  LAMINAR_CHECK(num_buckets > 0);
-}
-
-void Histogram::Add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x > hi_) {
-    ++overflow_;
-    return;
-  }
-  // The top edge is closed: a sample exactly equal to `hi` (a latency hitting
-  // its configured cap, say) lands in the last bucket instead of overflow.
-  size_t i = static_cast<size_t>((x - lo_) / width_);
-  i = std::min(i, counts_.size() - 1);
-  ++counts_[i];
-}
-
-double Histogram::BucketLow(size_t i) const { return lo_ + width_ * static_cast<double>(i); }
-double Histogram::BucketHigh(size_t i) const { return BucketLow(i) + width_; }
-
-std::string Histogram::ToAscii(size_t max_width) const {
-  std::vector<std::pair<double, double>> edges;
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    edges.emplace_back(BucketLow(i), BucketHigh(i));
-  }
-  return RenderRows(counts_, total_, max_width, edges);
-}
 
 LogHistogram::LogHistogram(double lo, double growth, size_t num_buckets)
     : lo_(lo), growth_(growth), counts_(num_buckets, 0) {
@@ -83,9 +21,9 @@ void LogHistogram::Add(double x) {
     ++underflow_;
     return;
   }
-  // Same closed top edge as Histogram: only samples strictly above the last
-  // bucket's upper bound overflow. The index is clamped rather than compared
-  // in log space, where rounding can push a boundary sample out of range.
+  // The top edge is closed: only samples strictly above the last bucket's
+  // upper bound overflow. The index is clamped rather than compared in log
+  // space, where rounding can push a boundary sample out of range.
   if (x > BucketHigh(counts_.size() - 1)) {
     ++overflow_;
     return;
@@ -102,11 +40,26 @@ double LogHistogram::BucketLow(size_t i) const {
 double LogHistogram::BucketHigh(size_t i) const { return BucketLow(i) * growth_; }
 
 std::string LogHistogram::ToAscii(size_t max_width) const {
-  std::vector<std::pair<double, double>> edges;
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    edges.emplace_back(BucketLow(i), BucketHigh(i));
+  size_t peak = 0;
+  for (size_t c : counts_) {
+    peak = std::max(peak, c);
   }
-  return RenderRows(counts_, total_, max_width, edges);
+  std::string out;
+  char line[160];
+  for (size_t i = 0; i < counts_.size(); ++i) {
+    if (counts_[i] == 0) {
+      continue;
+    }
+    size_t bar = peak == 0 ? 0 : counts_[i] * max_width / peak;
+    double pct = total_ == 0 ? 0.0 : 100.0 * static_cast<double>(counts_[i]) /
+                                         static_cast<double>(total_);
+    std::snprintf(line, sizeof(line), "[%10.1f, %10.1f) %8zu %5.1f%% ", BucketLow(i),
+                  BucketHigh(i), counts_[i], pct);
+    out += line;
+    out.append(bar, '#');
+    out += '\n';
+  }
+  return out;
 }
 
 }  // namespace laminar

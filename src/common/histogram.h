@@ -1,4 +1,4 @@
-// Fixed- and log-bucketed histograms for distribution reporting.
+// Log-bucketed histogram for distribution reporting.
 #ifndef LAMINAR_SRC_COMMON_HISTOGRAM_H_
 #define LAMINAR_SRC_COMMON_HISTOGRAM_H_
 
@@ -8,45 +8,6 @@
 #include <vector>
 
 namespace laminar {
-
-// Histogram over [lo, hi) with `num_buckets` equal-width buckets plus
-// underflow/overflow buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, size_t num_buckets);
-
-  void Add(double x);
-
-  size_t total_count() const { return total_; }
-  size_t underflow() const { return underflow_; }
-  size_t overflow() const { return overflow_; }
-  const std::vector<size_t>& buckets() const { return counts_; }
-  double BucketLow(size_t i) const;
-  double BucketHigh(size_t i) const;
-
-  // Renders an ASCII bar chart, one row per non-empty bucket.
-  std::string ToAscii(size_t max_width = 50) const;
-
-  // Snapshot adoption (src/snapshot): restores the bucket counts of an
-  // already-constructed histogram; the shape (lo/hi/num_buckets) comes from
-  // construction and must match.
-  void AdoptCounts(std::vector<size_t> counts, size_t underflow, size_t overflow,
-                   size_t total) {
-    counts_ = std::move(counts);
-    underflow_ = underflow;
-    overflow_ = overflow;
-    total_ = total;
-  }
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<size_t> counts_;
-  size_t underflow_ = 0;
-  size_t overflow_ = 0;
-  size_t total_ = 0;
-};
 
 // Histogram with exponentially growing bucket edges: [lo, lo*g), [lo*g, lo*g^2)...
 // Useful for long-tailed quantities like trajectory lengths and latencies.

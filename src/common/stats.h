@@ -1,4 +1,4 @@
-// Streaming and sample-based statistics used by the metrics collectors.
+// Sample-based statistics used by the metrics collectors.
 #ifndef LAMINAR_SRC_COMMON_STATS_H_
 #define LAMINAR_SRC_COMMON_STATS_H_
 
@@ -12,9 +12,8 @@ namespace laminar {
 
 class SnapshotTx;
 
-// Welford-style streaming statistics live in src/trace/metrics.h
-// (StreamingStat) as part of the metrics registry; this header keeps only the
-// sample- and time-series containers.
+// Sample- and time-series containers. Components count in plain int64_t
+// fields and keep distributions here; each container snapshots itself.
 
 // Stores all samples; supports exact quantiles. Suitable for the volumes the
 // simulator produces (millions of doubles at most).
@@ -40,13 +39,6 @@ class SampleSet {
   // (src/snapshot/snapshot.h). The in-place EnsureSorted ordering is itself
   // deterministic, so raw bytes are a stable witness.
   void Snapshot(SnapshotTx& tx);
-  // Packed-codec path (metrics registry): the raw flag alongside samples(),
-  // and wholesale replacement with the serialized order + sort flag.
-  bool raw_sorted() const { return sorted_; }
-  void AdoptRaw(std::vector<double> samples, bool sorted) {
-    samples_ = std::move(samples);
-    sorted_ = sorted;
-  }
 
  private:
   void EnsureSorted() const;

@@ -264,20 +264,7 @@ void LaminarSystem::Setup() {
       invariants_->AddReplica(r);
     }
     if (cfg_.serving.enabled) {
-      invariants_->set_serving_fn([this] {
-        ServingStats ss = manager_->serving_stats();
-        ServingCounts c;
-        c.requests = ss.requests;
-        c.rejected = ss.rejected;
-        c.queued = ss.queued_now;
-        c.resident = ss.resident_now;
-        c.completed = ss.completed;
-        c.timed_out = ss.timed_out;
-        c.failed = ss.failed;
-        c.deadline_hits = ss.deadline_hits;
-        c.deadline_misses = ss.deadline_misses;
-        return c;
-      });
+      invariants_->set_serving_fn([this] { return manager_->serving_stats(); });
     }
     // DriverBase::Run calls Setup before WireCompletion, so arming the
     // pointer here routes every buffer push through the checker.
@@ -464,10 +451,11 @@ void LaminarSystem::Finalize(SystemReport& report) {
     report.serving_deadline_misses = ss.deadline_misses;
     report.serving_preemptions = ss.rollout_preempted;
     report.serving_inflight_at_end = ss.queued_now + ss.resident_now;
-    if (!ss.latency_seconds.empty()) {
-      report.serving_latency_mean_seconds = ss.latency_seconds.mean();
-      report.serving_latency_p50_seconds = ss.latency_seconds.Quantile(0.50);
-      report.serving_latency_p99_seconds = ss.latency_seconds.Quantile(0.99);
+    const SampleSet& latency = manager_->serving_latency_seconds();
+    if (!latency.empty()) {
+      report.serving_latency_mean_seconds = latency.mean();
+      report.serving_latency_p50_seconds = latency.Quantile(0.50);
+      report.serving_latency_p99_seconds = latency.Quantile(0.99);
     }
     int64_t terminal = ss.completed + ss.timed_out + ss.failed;
     if (terminal > 0) {

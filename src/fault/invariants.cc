@@ -96,14 +96,14 @@ void InvariantChecker::CheckSweep() {
     // six states. (The KV check above doubles as the serving/rollout
     // no-double-count audit — resident serving tokens are charged to the
     // same per-replica accounting rollout work uses.)
-    ServingCounts c = serving_fn_();
-    int64_t accounted = c.rejected + c.queued + c.resident + c.completed +
+    ServingStats c = serving_fn_();
+    int64_t accounted = c.rejected + c.queued_now + c.resident_now + c.completed +
                         c.timed_out + c.failed;
     if (c.requests != accounted) {
       std::ostringstream oss;
       oss << "serving request leak: requests=" << c.requests
-          << " != rejected=" << c.rejected << " + queued=" << c.queued
-          << " + resident=" << c.resident << " + completed=" << c.completed
+          << " != rejected=" << c.rejected << " + queued=" << c.queued_now
+          << " + resident=" << c.resident_now << " + completed=" << c.completed
           << " + timed_out=" << c.timed_out << " + failed=" << c.failed;
       Report(oss.str());
     }
@@ -113,10 +113,10 @@ void InvariantChecker::CheckSweep() {
           << " + misses=" << c.deadline_misses << " != completed=" << c.completed;
       Report(oss.str());
     }
-    if (c.queued < 0 || c.resident < 0) {
+    if (c.queued_now < 0 || c.resident_now < 0) {
       std::ostringstream oss;
-      oss << "negative serving queue depth: queued=" << c.queued
-          << " resident=" << c.resident;
+      oss << "negative serving queue depth: queued=" << c.queued_now
+          << " resident=" << c.resident_now;
       Report(oss.str());
     }
   }

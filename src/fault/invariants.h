@@ -28,6 +28,7 @@
 #include "src/common/stats.h"
 #include "src/data/partial_response_pool.h"
 #include "src/data/trajectory.h"
+#include "src/rollout/manager.h"
 #include "src/rollout/replica.h"
 #include "src/sim/simulator.h"
 
@@ -48,21 +49,6 @@ struct InvariantCheckerConfig {
   size_t max_recorded_violations = 64;
 };
 
-// Serving-tier counters sampled for the admission-conservation audit
-// (DESIGN.md §14). Populated by a driver-provided callback so the checker
-// stays decoupled from the rollout manager.
-struct ServingCounts {
-  int64_t requests = 0;
-  int64_t rejected = 0;
-  int64_t queued = 0;
-  int64_t resident = 0;
-  int64_t completed = 0;
-  int64_t timed_out = 0;
-  int64_t failed = 0;
-  int64_t deadline_hits = 0;
-  int64_t deadline_misses = 0;
-};
-
 class InvariantChecker {
  public:
   InvariantChecker(Simulator* sim, InvariantCheckerConfig config);
@@ -77,8 +63,9 @@ class InvariantChecker {
   // Arms the serving-tier audit: every sweep additionally checks admitted-
   // request conservation (each request in exactly one terminal-or-queued
   // state) and deadline-bookkeeping sanity (hits + misses == completions).
-  // Unset (the default, serving off) adds no checks.
-  void set_serving_fn(std::function<ServingCounts()> fn) {
+  // Unset (the default, serving off) adds no checks. The source is typically
+  // RolloutManager::serving_stats().
+  void set_serving_fn(std::function<ServingStats()> fn) {
     serving_fn_ = std::move(fn);
   }
 
@@ -111,7 +98,7 @@ class InvariantChecker {
   InvariantCheckerConfig config_;
   std::function<int64_t()> issued_fn_;
   std::function<int64_t()> inflight_fn_;
-  std::function<ServingCounts()> serving_fn_;
+  std::function<ServingStats()> serving_fn_;
   const PartialResponsePool* pool_ = nullptr;
   std::vector<const RolloutReplica*> replicas_;
 

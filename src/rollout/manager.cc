@@ -53,29 +53,6 @@ RolloutManager::RolloutManager(Simulator* sim, RolloutManagerConfig config,
     }
     replica_by_id_[static_cast<size_t>(id)] = r;
   }
-  ctr_repack_events_ = metrics_.Counter("manager/repack_events");
-  ctr_sources_released_ = metrics_.Counter("manager/sources_released");
-  ctr_trajectories_migrated_ = metrics_.Counter("manager/trajectories_migrated");
-  ctr_batches_assigned_ = metrics_.Counter("manager/batches_assigned");
-  ctr_failures_handled_ = metrics_.Counter("manager/failures_handled");
-  ctr_trajectories_redirected_ = metrics_.Counter("manager/trajectories_redirected");
-  ctr_slow_events_ = metrics_.Counter("manager/slow_events");
-  ctr_slow_recoveries_ = metrics_.Counter("manager/slow_recoveries");
-  ctr_trajectories_drained_slow_ = metrics_.Counter("manager/trajectories_drained_slow");
-  ctr_redirect_retries_ = metrics_.Counter("manager/redirect_retries");
-  ctr_trajectories_dropped_ = metrics_.Counter("manager/trajectories_dropped");
-  ctr_machine_stalls_ = metrics_.Counter("manager/machine_stalls");
-  repack_overhead_seconds_ = metrics_.Samples("manager/repack_overhead_seconds");
-  ctr_serving_requests_ = metrics_.Counter("manager/serving_requests");
-  ctr_serving_admitted_ = metrics_.Counter("manager/serving_admitted");
-  ctr_serving_rejected_ = metrics_.Counter("manager/serving_rejected");
-  ctr_serving_completed_ = metrics_.Counter("manager/serving_completed");
-  ctr_serving_timed_out_ = metrics_.Counter("manager/serving_timed_out");
-  ctr_serving_failed_ = metrics_.Counter("manager/serving_failed");
-  ctr_serving_deadline_hits_ = metrics_.Counter("manager/serving_deadline_hits");
-  ctr_serving_deadline_misses_ = metrics_.Counter("manager/serving_deadline_misses");
-  ctr_serving_rollout_preempted_ = metrics_.Counter("manager/serving_rollout_preempted");
-  serving_latency_seconds_ = metrics_.Samples("manager/serving_latency_seconds");
   // The periodic tasks exist from construction (Start() only arms them) so a
   // direct-boot restore can re-seat a pending tick before Start() runs.
   tick_ = std::make_unique<PeriodicTask>(sim_, config_.repack_period_seconds,
@@ -140,39 +117,11 @@ void RolloutManager::RestoreContinuation(uint16_t kind, const ContinuationPayloa
 }
 
 ServingStats RolloutManager::serving_stats() const {
-  ServingStats s;
-  s.requests = ctr_serving_requests_->value();
-  s.admitted = ctr_serving_admitted_->value();
-  s.rejected = ctr_serving_rejected_->value();
-  s.completed = ctr_serving_completed_->value();
-  s.timed_out = ctr_serving_timed_out_->value();
-  s.failed = ctr_serving_failed_->value();
-  s.deadline_hits = ctr_serving_deadline_hits_->value();
-  s.deadline_misses = ctr_serving_deadline_misses_->value();
-  s.rollout_preempted = ctr_serving_rollout_preempted_->value();
+  ServingStats s = serving_;
   s.queued_now = static_cast<int64_t>(serving_backlog_.size());
   for (const RolloutReplica* r : replicas_) {
     s.resident_now += r->num_serving();
   }
-  s.latency_seconds = *serving_latency_seconds_;
-  return s;
-}
-
-RolloutManagerStats RolloutManager::stats() const {
-  RolloutManagerStats s;
-  s.repack_events = ctr_repack_events_->value();
-  s.sources_released = ctr_sources_released_->value();
-  s.trajectories_migrated = ctr_trajectories_migrated_->value();
-  s.batches_assigned = ctr_batches_assigned_->value();
-  s.failures_handled = ctr_failures_handled_->value();
-  s.trajectories_redirected = ctr_trajectories_redirected_->value();
-  s.slow_events = ctr_slow_events_->value();
-  s.slow_recoveries = ctr_slow_recoveries_->value();
-  s.trajectories_drained_slow = ctr_trajectories_drained_slow_->value();
-  s.redirect_retries = ctr_redirect_retries_->value();
-  s.trajectories_dropped = ctr_trajectories_dropped_->value();
-  s.machine_stalls = ctr_machine_stalls_->value();
-  s.repack_overhead_seconds = *repack_overhead_seconds_;
   return s;
 }
 
@@ -283,7 +232,7 @@ void RolloutManager::AssignFreshBatch(RolloutReplica* replica) {
     w.InitContext();
     works.push_back(std::move(w));
   }
-  ctr_batches_assigned_->Add();
+  ++stats_.batches_assigned;
   LAMINAR_TRACE_INSTANT(sim_, TraceComponent::kManager, "manager/assign_batch",
                         replica->config().id, static_cast<int64_t>(works.size()));
   replica->AssignWork(std::move(works), /*kv_transferred=*/false);
@@ -402,7 +351,7 @@ void RolloutManager::TriggerRepack() {
     if (plan.empty()) {
       continue;
     }
-    ctr_repack_events_->Add();
+    ++stats_.repack_events;
     LAMINAR_TRACE_INSTANT(sim_, TraceComponent::kManager, "manager/repack", -1,
                           static_cast<int64_t>(plan.moves.size()));
     // Transfers to distinct destinations proceed in parallel; the plan's
@@ -425,7 +374,7 @@ void RolloutManager::TriggerRepack() {
       RolloutReplica* dst = FindReplica(dst_id);
       LAMINAR_CHECK(src != nullptr && dst != nullptr);
       std::vector<TrajectoryWork> works = src->ExtractAllWork();
-      ctr_trajectories_migrated_->Add(static_cast<int64_t>(works.size()));
+      stats_.trajectories_migrated += static_cast<int64_t>(works.size());
       for (const TrajectoryWork& w : works) {
         // Re-home the pooled checkpoint to the destination now, not at
         // admission: if the source machine dies while the work still queues
@@ -442,7 +391,7 @@ void RolloutManager::TriggerRepack() {
         }
       }
       dst->AssignWork(std::move(works), /*kv_transferred=*/true);
-      ctr_sources_released_->Add();
+      ++stats_.sources_released;
       monitor_.Forget(src_id);
       // The drained source is now free to adopt the newest weights.
       StartWeightUpdate(src);
@@ -451,7 +400,7 @@ void RolloutManager::TriggerRepack() {
     for (const auto& entry : overhead_by_dst) {
       overhead = std::max(overhead, entry.second);
     }
-    repack_overhead_seconds_->Add(overhead);
+    stats_.repack_overhead_seconds.Add(overhead);
   }
 }
 
@@ -494,7 +443,7 @@ void RolloutManager::RedirectWork(std::vector<TrajectoryWork> works, int weight_
           partial_pool_->Update(w, hosts[i]->config().id);
         }
       }
-      ctr_trajectories_redirected_->Add(static_cast<int64_t>(shards[i].size()));
+      stats_.trajectories_redirected += static_cast<int64_t>(shards[i].size());
       LAMINAR_TRACE_INSTANT(sim_, TraceComponent::kManager, "manager/redirect",
                             hosts[i]->config().id,
                             static_cast<int64_t>(shards[i].size()), weight_version);
@@ -518,7 +467,7 @@ void RolloutManager::ScheduleRedirectRetry() {
 
 void RolloutManager::OnRedirectRetryFire() {
   redirect_retry_event_ = kInvalidEventId;
-  ctr_redirect_retries_->Add();
+  ++stats_.redirect_retries;
   LAMINAR_TRACE_INSTANT(sim_, TraceComponent::kManager, "manager/redirect_retry", -1,
                         redirect_retry_attempts_);
   FlushPendingRedirects();
@@ -552,7 +501,7 @@ void RolloutManager::FlushPendingRedirects() {
 }
 
 void RolloutManager::OnMachineFailure(int machine) {
-  ctr_failures_handled_->Add();
+  ++stats_.failures_handled;
   LAMINAR_TRACE_INSTANT(sim_, TraceComponent::kManager, "manager/machine_failure",
                         machine);
   relays_->KillRelay(machine);
@@ -580,7 +529,7 @@ void RolloutManager::OnMachineFailure(int machine) {
       for (const RolloutReplica* r : casualties) {
         if (t.replica == r->config().id) {
           t.state = ServingTicketState::kFailed;
-          ctr_serving_failed_->Add();
+          ++serving_.failed;
           break;
         }
       }
@@ -604,7 +553,7 @@ void RolloutManager::OnMachineFailure(int machine) {
         continue;  // a pooled checkpoint survives and will be redirected
       }
       if (partial_pool_->MarkDropped(w.record.id)) {
-        ctr_trajectories_dropped_->Add();
+        ++stats_.trajectories_dropped;
       }
     }
     LAMINAR_LOG(kInfo) << "machine " << machine << " failed; redirecting "
@@ -655,7 +604,7 @@ void RolloutManager::OnMachineReplaced(int64_t seq) {
       if (next < casualties.size()) {
         RolloutReplica* host = casualties[next++];
         host->LoadCheckpointVersion(version);
-        ctr_trajectories_redirected_->Add(static_cast<int64_t>(works.size()));
+        stats_.trajectories_redirected += static_cast<int64_t>(works.size());
         host->AssignWork(std::move(works), /*kv_transferred=*/false);
       } else {
         WorksForVersion(pending_redirects_, version) = std::move(works);
@@ -673,10 +622,10 @@ void RolloutManager::OnReplicaSlow(int replica_id) {
   if (r == nullptr || r->phase() == ReplicaPhase::kDead || IsQuarantined(replica_id)) {
     return;
   }
-  ctr_slow_events_->Add();
+  ++stats_.slow_events;
   SetQuarantined(replica_id);
   std::vector<TrajectoryWork> drained = r->ExtractAllWork();
-  ctr_trajectories_drained_slow_->Add(static_cast<int64_t>(drained.size()));
+  stats_.trajectories_drained_slow += static_cast<int64_t>(drained.size());
   LAMINAR_TRACE_INSTANT(sim_, TraceComponent::kManager, "manager/quarantine",
                         replica_id, static_cast<int64_t>(drained.size()));
   LAMINAR_LOG(kInfo) << "replica " << replica_id
@@ -694,7 +643,7 @@ void RolloutManager::OnReplicaSlowRecovered(int replica_id) {
   if (!ClearQuarantined(replica_id)) {
     return;
   }
-  ctr_slow_recoveries_->Add();
+  ++stats_.slow_recoveries;
   LAMINAR_TRACE_INSTANT(sim_, TraceComponent::kManager, "manager/quarantine_lift",
                         replica_id);
   LAMINAR_LOG(kInfo) << "replica " << replica_id << " recovered from fail-slow";
@@ -706,7 +655,7 @@ void RolloutManager::OnReplicaSlowRecovered(int replica_id) {
 }
 
 void RolloutManager::OnMachineStall(int machine, double duration_seconds) {
-  ctr_machine_stalls_->Add();
+  ++stats_.machine_stalls;
   LAMINAR_TRACE_INSTANT(sim_, TraceComponent::kManager, "manager/machine_stall", machine,
                         0, duration_seconds);
   std::vector<int> paused;
@@ -824,7 +773,7 @@ RolloutManager::ServingTicket& RolloutManager::TicketFor(TrajId id) {
 }
 
 void RolloutManager::OnServingArrival(const ServingRequest& request) {
-  ctr_serving_requests_->Add();
+  ++serving_.requests;
   size_t idx = static_cast<size_t>(request.seq);
   if (idx >= serving_tickets_.size()) {
     serving_tickets_.resize(idx + 1);
@@ -866,7 +815,7 @@ bool RolloutManager::TryPlaceServing(TrajectoryWork work, bool admission) {
     // admission gate where host availability would decide its terminal class.
     ServingTicket& t = TicketFor(work.record.id);
     t.state = ServingTicketState::kTimedOut;
-    ctr_serving_timed_out_->Add();
+    ++serving_.timed_out;
     LAMINAR_TRACE_INSTANT(sim_, TraceComponent::kManager, "manager/serving_timeout",
                           -1, work.record.id);
     return true;
@@ -911,7 +860,7 @@ bool RolloutManager::TryPlaceServing(TrajectoryWork work, bool admission) {
                  static_cast<double>(decode_tokens) * step;
     if (sim_->Now().seconds() + est > t.deadline_seconds) {
       t.state = ServingTicketState::kRejected;
-      ctr_serving_rejected_->Add();
+      ++serving_.rejected;
       LAMINAR_TRACE_INSTANT(sim_, TraceComponent::kManager, "manager/serving_reject",
                             best->config().id, work.record.id);
       return true;
@@ -926,7 +875,7 @@ bool RolloutManager::TryPlaceServing(TrajectoryWork work, bool admission) {
   if (best_free < needed) {
     std::vector<TrajectoryWork> evicted = best->PreemptRolloutForServing(needed);
     if (!evicted.empty()) {
-      ctr_serving_rollout_preempted_->Add(static_cast<int64_t>(evicted.size()));
+      serving_.rollout_preempted += static_cast<int64_t>(evicted.size());
       LAMINAR_TRACE_INSTANT(sim_, TraceComponent::kManager, "manager/serving_preempt",
                             best->config().id, static_cast<int64_t>(evicted.size()));
       for (TrajectoryWork& ew : evicted) {
@@ -942,7 +891,7 @@ bool RolloutManager::TryPlaceServing(TrajectoryWork work, bool admission) {
   }
   t.state = ServingTicketState::kRunning;
   t.replica = best->config().id;
-  ctr_serving_admitted_->Add();
+  ++serving_.admitted;
   LAMINAR_TRACE_INSTANT(sim_, TraceComponent::kManager, "manager/serving_admit",
                         best->config().id, work.record.id);
   std::vector<TrajectoryWork> one;
@@ -969,15 +918,15 @@ void RolloutManager::OnServingComplete(const TrajectoryRecord& record) {
   ServingTicket& t = TicketFor(record.id);
   LAMINAR_CHECK(t.state == ServingTicketState::kRunning);
   t.state = ServingTicketState::kCompleted;
-  ctr_serving_completed_->Add();
+  ++serving_.completed;
   SimTime now = sim_->Now();
   double latency = now.seconds() - t.arrival.seconds();
-  serving_latency_seconds_->Add(latency);
+  serving_latency_seconds_.Add(latency);
   bool hit = !ServingDeadlinePassed(t.deadline_seconds);
   if (hit) {
-    ctr_serving_deadline_hits_->Add();
+    ++serving_.deadline_hits;
   } else {
-    ctr_serving_deadline_misses_->Add();
+    ++serving_.deadline_misses;
   }
   LAMINAR_TRACE_SPAN_AT(sim_, TraceComponent::kManager,
                         hit ? "manager/serving_hit" : "manager/serving_miss",
@@ -1123,8 +1072,7 @@ void RolloutManager::Snapshot(SnapshotTx& tx) {
     redirect_retry_event_ = kInvalidEventId;
   }
   if (config_.serving_enabled) {
-    // Gated on the config flag so serving-off blobs keep the historical
-    // section layout byte-for-byte.
+    // Gated on the config flag: serving-off blobs carry no serving state.
     SnapshotPacked(
         tx, "serving_tickets",
         [this](ByteSink& s) {
@@ -1160,9 +1108,35 @@ void RolloutManager::Snapshot(SnapshotTx& tx) {
             serving_backlog_.push_back(UnpackWork(s));
           }
         });
+    tx.I64("serving_requests", &serving_.requests);
+    tx.I64("serving_admitted", &serving_.admitted);
+    tx.I64("serving_rejected", &serving_.rejected);
+    tx.I64("serving_completed", &serving_.completed);
+    tx.I64("serving_timed_out", &serving_.timed_out);
+    tx.I64("serving_failed", &serving_.failed);
+    tx.I64("serving_deadline_hits", &serving_.deadline_hits);
+    tx.I64("serving_deadline_misses", &serving_.deadline_misses);
+    tx.I64("serving_rollout_preempted", &serving_.rollout_preempted);
+    tx.Begin("serving_latency_seconds");
+    serving_latency_seconds_.Snapshot(tx);
+    tx.End();
   }
   monitor_.Snapshot(tx);
-  metrics_.Snapshot(tx, "manager_metrics");
+  tx.I64("repack_events", &stats_.repack_events);
+  tx.I64("sources_released", &stats_.sources_released);
+  tx.I64("trajectories_migrated", &stats_.trajectories_migrated);
+  tx.I64("batches_assigned", &stats_.batches_assigned);
+  tx.I64("failures_handled", &stats_.failures_handled);
+  tx.I64("trajectories_redirected", &stats_.trajectories_redirected);
+  tx.I64("slow_events", &stats_.slow_events);
+  tx.I64("slow_recoveries", &stats_.slow_recoveries);
+  tx.I64("trajectories_drained_slow", &stats_.trajectories_drained_slow);
+  tx.I64("redirect_retries", &stats_.redirect_retries);
+  tx.I64("trajectories_dropped", &stats_.trajectories_dropped);
+  tx.I64("machine_stalls", &stats_.machine_stalls);
+  tx.Begin("repack_overhead_seconds");
+  stats_.repack_overhead_seconds.Snapshot(tx);
+  tx.End();
   tx.End();
 }
 

@@ -21,7 +21,6 @@
 #include "src/repack/monitor.h"
 #include "src/rollout/replica.h"
 #include "src/sim/simulator.h"
-#include "src/trace/metrics.h"
 #include "src/workload/serving_traffic.h"
 
 namespace laminar {
@@ -65,9 +64,8 @@ struct RolloutManagerConfig {
   double serving_retry_period_seconds = 0.5;
 };
 
-// Point-in-time snapshot of the manager's metrics registry (stats() builds
-// one on demand). Kept as a plain struct so report assembly and tests read
-// named fields rather than registry strings.
+// The manager's decision counters (stats()). Plain fields, written by name
+// into the manager's snapshot section like the relay tier's counters.
 struct RolloutManagerStats {
   int64_t repack_events = 0;       // plans with at least one move
   int64_t sources_released = 0;    // replicas freed by repack
@@ -86,7 +84,8 @@ struct RolloutManagerStats {
 
 // Serving-tier counters and queue depths (serving_stats()). Every request is
 // in exactly one of: rejected, queued_now, resident_now, completed,
-// timed_out, failed — the conservation invariant the checker audits.
+// timed_out, failed — the conservation invariant the checker audits. The
+// queue depths are read off the backlog and the replicas on each call.
 struct ServingStats {
   int64_t requests = 0;
   int64_t admitted = 0;
@@ -99,7 +98,6 @@ struct ServingStats {
   int64_t rollout_preempted = 0;  // rollout works evicted for serving KV
   int64_t queued_now = 0;         // backlog awaiting placement
   int64_t resident_now = 0;       // placed on replicas, not yet finished
-  SampleSet latency_seconds;      // arrival -> completion, completions only
 };
 
 class RolloutManager : public ContinuationClient {
@@ -169,6 +167,8 @@ class RolloutManager : public ContinuationClient {
   // completion intercept — serving ids never touch the training data path).
   void OnServingComplete(const TrajectoryRecord& record);
   ServingStats serving_stats() const;
+  // Arrival -> completion, completions only.
+  const SampleSet& serving_latency_seconds() const { return serving_latency_seconds_; }
 
   // A relay process restarted (crash + revival while its machine stayed up).
   // Any replica on that machine stuck mid-weight-update lost its pull waiter
@@ -190,13 +190,12 @@ class RolloutManager : public ContinuationClient {
   // Runs one repack pass now (also used by tests and benches).
   void TriggerRepack();
 
-  RolloutManagerStats stats() const;
-  const MetricsRegistry& metrics() const { return metrics_; }
+  const RolloutManagerStats& stats() const { return stats_; }
 
   // Snapshot witness (src/snapshot, DESIGN.md §13): parked redirects,
   // quarantine/starvation state, probe windows, serving tickets and backlog,
-  // in-flight replacement/thaw jobs, the idleness-monitor history and the
-  // metrics registry — all fully adoptable for direct boot. Replica state is
+  // in-flight replacement/thaw jobs, the idleness-monitor history and every
+  // counter by name — all fully adoptable for direct boot. Replica state is
   // witnessed by the driver, which owns the replicas.
   void Snapshot(SnapshotTx& tx);
   int64_t inflight_trajectories() const;
@@ -305,36 +304,13 @@ class RolloutManager : public ContinuationClient {
   int64_t next_replacement_seq_ = 0;
   std::map<int64_t, std::vector<int>> thaw_jobs_;
   int64_t next_thaw_seq_ = 0;
-  // All decision counters live in the registry; hot paths go through cached
-  // instrument pointers (stable for the registry's lifetime).
-  MetricsRegistry metrics_;
-  MetricCounter* ctr_repack_events_;
-  MetricCounter* ctr_sources_released_;
-  MetricCounter* ctr_trajectories_migrated_;
-  MetricCounter* ctr_batches_assigned_;
-  MetricCounter* ctr_failures_handled_;
-  MetricCounter* ctr_trajectories_redirected_;
-  MetricCounter* ctr_slow_events_;
-  MetricCounter* ctr_slow_recoveries_;
-  MetricCounter* ctr_trajectories_drained_slow_;
-  MetricCounter* ctr_redirect_retries_;
-  MetricCounter* ctr_trajectories_dropped_;
-  MetricCounter* ctr_machine_stalls_;
-  SampleSet* repack_overhead_seconds_;
+  RolloutManagerStats stats_;
   // Serving tier state (empty/zero when the tier is off).
   std::vector<ServingTicket> serving_tickets_;
   std::deque<TrajectoryWork> serving_backlog_;
   std::unique_ptr<PeriodicTask> serving_tick_;
-  MetricCounter* ctr_serving_requests_;
-  MetricCounter* ctr_serving_admitted_;
-  MetricCounter* ctr_serving_rejected_;
-  MetricCounter* ctr_serving_completed_;
-  MetricCounter* ctr_serving_timed_out_;
-  MetricCounter* ctr_serving_failed_;
-  MetricCounter* ctr_serving_deadline_hits_;
-  MetricCounter* ctr_serving_deadline_misses_;
-  MetricCounter* ctr_serving_rollout_preempted_;
-  SampleSet* serving_latency_seconds_;
+  ServingStats serving_;  // counters only; serving_stats() fills the depths
+  SampleSet serving_latency_seconds_;
   bool running_ = false;
 };
 

@@ -53,8 +53,9 @@ inline constexpr char kSnapshotMagic[8] = {'L', 'M', 'S', 'N', 'A', 'P', '1', '\
 // reconstructible continuation descriptors (event_heap section) and every
 // component serializes adoptable state, so a restore boots directly from
 // the blob. v3 writes the partial-response pool's entries in ascending
-// TrajId. The reader accepts exactly this version; any other stops at parse.
-inline constexpr uint32_t kSnapshotVersion = 3;
+// TrajId; v4 writes the rollout manager's counters as named records. The
+// reader accepts exactly this version; any other stops at parse.
+inline constexpr uint32_t kSnapshotVersion = 4;
 
 // Record kinds in the LMSNAP1 stream.
 enum class SnapshotRecordKind : uint8_t {

@@ -9,7 +9,6 @@
 #include "src/common/stats.h"
 #include "src/common/table.h"
 #include "src/common/units.h"
-#include "src/trace/metrics.h"
 
 namespace laminar {
 namespace {
@@ -94,18 +93,6 @@ TEST(RngTest, CategoricalRespectsWeights) {
   EXPECT_NEAR(static_cast<double>(counts[2]) / counts[0], 3.0, 0.5);
 }
 
-TEST(StreamingStatTest, MeanVarianceMinMax) {
-  StreamingStat s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
-    s.Add(x);
-  }
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_EQ(s.count(), 8u);
-}
-
 TEST(SampleSetTest, ExactQuantiles) {
   SampleSet s;
   for (int i = 100; i >= 1; --i) {
@@ -136,30 +123,6 @@ TEST(TimeSeriesTest, MeanInWindowAndResample) {
   auto buckets = ts.Resample(2.0);
   ASSERT_GE(buckets.size(), 4u);
   EXPECT_DOUBLE_EQ(buckets[0].value, 0.5);  // points 0,1
-}
-
-TEST(HistogramTest, BucketsAndOverflow) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 10; ++i) {
-    h.Add(i + 0.5);
-  }
-  h.Add(-1.0);
-  h.Add(100.0);
-  EXPECT_EQ(h.total_count(), 12u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  for (size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(h.buckets()[i], 1u);
-  }
-}
-
-TEST(HistogramTest, TopBoundarySampleLandsInLastBucket) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(10.0);  // exactly the top edge: last bucket, not overflow
-  EXPECT_EQ(h.overflow(), 0u);
-  EXPECT_EQ(h.buckets()[9], 1u);
-  h.Add(10.0 + 1e-9);
-  EXPECT_EQ(h.overflow(), 1u);
 }
 
 TEST(LogHistogramTest, TopBoundarySampleLandsInLastBucket) {

@@ -92,7 +92,7 @@ TEST(SnapshotFormatTest, ParseRejectsEveryOtherVersionByNumber) {
   ASSERT_TRUE(ok.Parse(data, &error)) << error;
   // The version is checked before the checksum, so a patched header names
   // the version it carries rather than reading as corruption.
-  for (uint32_t version : {1u, 2u, 4u}) {
+  for (uint32_t version : {1u, 2u, 3u, 5u}) {
     std::string patched = data;
     for (int i = 0; i < 4; ++i) {
       patched[sizeof(kSnapshotMagic) + i] = static_cast<char>((version >> (8 * i)) & 0xff);
@@ -294,6 +294,39 @@ TEST(SystemSnapshotTest, VerifyAgainstForeignBlobNamesDriftedFields) {
   drifted.snapshot_verify = a.snapshot;
   SystemReport c = RunExperiment(drifted);
   EXPECT_FALSE(c.snapshot_mismatches.empty());
+}
+
+TEST(SystemSnapshotTest, ManagerCounterDriftIsReportedByFieldName) {
+  // The rollout manager's counters are named records, so a verify pass
+  // against a blob from a different run says which counter drifted.
+  RlSystemConfig base = SnapConfig();
+  SystemReport probe = RunExperiment(base);
+  RlSystemConfig first = base;
+  first.snapshot_at_seconds = 0.5 * probe.simulated_seconds;
+  SystemReport a = RunExperiment(first);
+  ASSERT_NE(a.snapshot, nullptr);
+
+  RlSystemConfig drifted = first;
+  drifted.seed = base.seed + 1;
+  drifted.snapshot_verify = a.snapshot;
+  SystemReport c = RunExperiment(drifted);
+  const char* counters[] = {
+      "repack_events",      "sources_released",          "trajectories_migrated",
+      "batches_assigned",   "failures_handled",          "trajectories_redirected",
+      "slow_events",        "slow_recoveries",           "trajectories_drained_slow",
+      "redirect_retries",   "trajectories_dropped",      "machine_stalls"};
+  std::vector<std::string> named;
+  for (const std::string& m : c.snapshot_mismatches) {
+    for (const char* counter : counters) {
+      if (m.find(std::string("rollout_manager/") + counter + ":") != std::string::npos) {
+        named.push_back(m);
+      }
+    }
+  }
+  ASSERT_FALSE(c.snapshot_mismatches.empty());
+  EXPECT_FALSE(named.empty()) << c.snapshot_mismatches.size()
+                              << " mismatches, none names a manager counter; first: "
+                              << c.snapshot_mismatches.front();
 }
 
 TEST(SystemSnapshotTest, ServingTierStateSnapshotsAndVerifies) {

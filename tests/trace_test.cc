@@ -1,8 +1,7 @@
 // Unit tests for the structured tracing subsystem (src/trace): buffer and
 // ring-eviction semantics, sink emission + macro no-op guarantees, binary and
 // Chrome-JSON export round-trips, the TraceQuery operators and interval
-// algebra, the metrics registry, and byte-level trace determinism across
-// sweep thread counts.
+// algebra, and byte-level trace determinism across sweep thread counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +11,6 @@
 #include "src/core/run.h"
 #include "src/exp/sweep.h"
 #include "src/sim/simulator.h"
-#include "src/trace/metrics.h"
 #include "src/trace/query.h"
 #include "src/trace/trace.h"
 #include "src/trace/trace_io.h"
@@ -453,63 +451,6 @@ TEST(IntervalAlgebraTest, OverlapsAndContains) {
   EXPECT_TRUE(Contains(outer, inner));
   EXPECT_FALSE(Contains(inner, outer));
   EXPECT_FALSE(Contains(outer, disjoint));
-}
-
-// --- MetricsRegistry ---------------------------------------------------------
-
-TEST(MetricsRegistryTest, CreateOnFirstUseReturnsStablePointers) {
-  MetricsRegistry registry;
-  MetricCounter* c = registry.Counter("manager/repack_events");
-  EXPECT_EQ(registry.Counter("manager/repack_events"), c);
-  c->Add();
-  c->Add(3);
-  EXPECT_EQ(registry.CounterValue("manager/repack_events"), 4);
-  EXPECT_EQ(registry.CounterValue("missing"), 0);
-
-  // Growth must not invalidate previously returned instruments.
-  for (int i = 0; i < 200; ++i) {
-    registry.Counter("filler/" + std::to_string(i))->Add(i);
-  }
-  c->Add();
-  EXPECT_EQ(registry.CounterValue("manager/repack_events"), 5);
-
-  registry.Gauge("g")->Set(2.5);
-  EXPECT_DOUBLE_EQ(registry.GaugeValue("g"), 2.5);
-  registry.Samples("s")->Add(1.0);
-  ASSERT_NE(registry.FindSamples("s"), nullptr);
-  EXPECT_EQ(registry.FindSamples("s")->count(), 1u);
-  EXPECT_EQ(registry.FindSamples("nope"), nullptr);
-}
-
-TEST(MetricsRegistryTest, EntriesKeepRegistrationOrder) {
-  MetricsRegistry registry;
-  registry.Counter("b");
-  registry.Gauge("a");
-  registry.Streaming("c");
-  ASSERT_EQ(registry.entries().size(), 3u);
-  EXPECT_EQ(registry.entries()[0].name, "b");
-  EXPECT_EQ(registry.entries()[1].name, "a");
-  EXPECT_EQ(registry.entries()[2].name, "c");
-  std::string dump = registry.DumpText();
-  EXPECT_LT(dump.find("b"), dump.find("a"));
-}
-
-TEST(MetricsRegistryTest, LabeledSpelling) {
-  EXPECT_EQ(MetricsRegistry::Labeled("relay/pulls", "relay", "3"),
-            "relay/pulls{relay=3}");
-}
-
-TEST(MetricsRegistryTest, StreamingStatMatchesClosedForm) {
-  StreamingStat s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
-    s.Add(x);
-  }
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), 2.138089935299395, 1e-12);  // sample stddev, n-1
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
 // --- End-to-end determinism --------------------------------------------------
