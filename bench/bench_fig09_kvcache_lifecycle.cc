@@ -26,16 +26,17 @@ void Run() {
 
   ReplicaConfig rc;
   rc.max_concurrency = 1024;
-  RolloutReplica replica(&sim, rc, decode, decode.KvCapacityTokens());
+  PartialResponsePool store;
+  RolloutReplica replica(&sim, rc, decode, decode.KvCapacityTokens(), &store);
   int completed = 0;
-  replica.set_on_complete([&](TrajectoryRecord) { ++completed; });
+  replica.set_on_complete([&](TrajId id) {
+    store.MarkCompleted(id);
+    ++completed;
+  });
 
-  std::vector<TrajectoryWork> works;
+  std::vector<TrajectoryCursor> works;
   for (auto& rec : pool.NextBatch(512, 0)) {
-    TrajectoryWork w;
-    w.record = rec;
-    w.InitContext();
-    works.push_back(w);
+    works.push_back(store.Issue(std::move(rec)));
   }
   replica.AssignWork(std::move(works));
 

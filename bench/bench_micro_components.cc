@@ -1,9 +1,11 @@
 // Micro-benchmarks of the hot simulator/algorithm components
 // (google-benchmark): event queue, Best-Fit consolidation, broadcast math,
-// decode-latency model, policy update, replica decode advance.
+// decode-latency model, policy update, replica decode advance, trajectory
+// store checkpoint/complete.
 #include <benchmark/benchmark.h>
 
 #include "src/common/rng.h"
+#include "src/data/partial_response_pool.h"
 #include "src/llm/decode_model.h"
 #include "src/llm/model_spec.h"
 #include "src/policy/policy.h"
@@ -126,14 +128,15 @@ void BM_ReplicaDecodeAdvance(benchmark::State& state) {
   ReplicaConfig rc;
   rc.max_concurrency = batch;
   DecodeModel decode(Qwen25_7B(), MachineSpec{}, 1);
-  RolloutReplica replica(&sim, rc, decode, 1.0e15);
-  std::vector<TrajectoryWork> works(static_cast<size_t>(batch));
+  PartialResponsePool store;
+  RolloutReplica replica(&sim, rc, decode, 1.0e15, &store);
+  std::vector<TrajectoryCursor> works;
   for (int i = 0; i < batch; ++i) {
-    TrajectoryWork& w = works[static_cast<size_t>(i)];
-    w.record.id = i;
-    w.record.spec.prompt_tokens = 256 + i % 512;
-    w.record.spec.AppendSegment(TrajectorySegment{int64_t{1} << 40, 0.0, 0});
-    w.InitContext();
+    TrajectoryRecord rec;
+    rec.id = i;
+    rec.spec.prompt_tokens = 256 + i % 512;
+    rec.spec.AppendSegment(TrajectorySegment{int64_t{1} << 40, 0.0, 0});
+    works.push_back(store.Issue(std::move(rec)));
   }
   replica.AssignWork(std::move(works));
   sim.Step();  // the first advance also carries the admission prefill
@@ -144,6 +147,59 @@ void BM_ReplicaDecodeAdvance(benchmark::State& state) {
   state.counters["batch"] = static_cast<double>(replica.metrics().batch_size.current());
 }
 BENCHMARK(BM_ReplicaDecodeAdvance)->Arg(64)->Arg(256)->Arg(1024);
+
+// Store traffic at a steady in-flight window of state.range(0) trajectories.
+// Each iteration advances one randomly chosen trajectory by one step of its
+// life: an admission checkpoint, a sandbox-boundary checkpoint, or its
+// completion — which moves the record out (into a reused sink, standing in
+// for the experience buffer) — and the issue of the prompt that replaces it.
+// Steps land on random trajectories, as events do in a run, so with a large
+// window the slot and index accesses miss the cache.
+void BM_StoreCheckpointComplete(benchmark::State& state) {
+  const TrajId window = state.range(0);
+  PartialResponsePool store;
+  TrajectorySpec spec;
+  spec.prompt_tokens = 512;
+  spec.AppendSegment(TrajectorySegment{256, 1.5, 64});
+  spec.AppendSegment(TrajectorySegment{128, 0.0, 0});
+  auto issue = [&store, &spec](TrajId id) {
+    TrajectoryRecord rec;
+    rec.id = id;
+    rec.spec = spec;
+    rec.weight_versions = {0};
+    return store.Issue(std::move(rec));
+  };
+  std::vector<TrajectoryCursor> inflight;
+  std::vector<int> stage(static_cast<size_t>(window), 0);
+  for (TrajId id = 0; id < window; ++id) {
+    inflight.push_back(issue(id));
+  }
+  TrajectoryRecord sink;
+  TrajId next = window;
+  Rng rng(3);
+  for (auto _ : state) {
+    size_t i = static_cast<size_t>(rng.UniformInt(0, window - 1));
+    TrajectoryCursor& c = inflight[i];
+    switch (stage[i]++) {
+      case 0:  // admission
+        store.Update(c, 1);
+        break;
+      case 1:  // sandbox-call boundary
+        c.decoded_in_segment = 256;
+        c.context_tokens += 256;
+        store.Update(c, 1);
+        break;
+      default:  // completion, and the prompt that replaces it
+        store.MarkCompleted(c.id, &sink);
+        benchmark::DoNotOptimize(sink.id);
+        c = issue(next++);
+        stage[i] = 0;
+        break;
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_StoreCheckpointComplete)->Arg(1024)->Arg(65536);
 
 }  // namespace
 }  // namespace laminar

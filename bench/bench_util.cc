@@ -1,10 +1,13 @@
 #include "bench/bench_util.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+
+#include <unistd.h>
 
 #include "src/common/table.h"
 #include "src/snapshot/snapshot.h"
@@ -53,6 +56,21 @@ std::string NumberedPath(const std::string& path, int index) {
   return base + num + ext;
 }
 
+// Exits 1 with "<what>: cannot write PATH" unless the directory that will
+// hold `path`'s numbered files exists and is writable, so a bad output path
+// fails before any experiment runs rather than after the whole sweep.
+void CheckOutputDirectory(const char* what, const std::string& path) {
+  if (path.empty()) {
+    return;
+  }
+  size_t slash = path.find_last_of('/');
+  std::string dir = slash == std::string::npos ? "." : path.substr(0, std::max<size_t>(slash, 1));
+  if (access(dir.c_str(), W_OK | X_OK) != 0) {
+    std::fprintf(stderr, "%s: cannot write %s\n", what, path.c_str());
+    std::exit(1);
+  }
+}
+
 }  // namespace
 
 void InitBenchTracing(int argc, char** argv) {
@@ -75,6 +93,8 @@ void InitBenchTracing(int argc, char** argv) {
       LoadRestoreFile(argv[i] + 15);
     }
   }
+  CheckOutputDirectory("trace", g_trace_out);
+  CheckOutputDirectory("snapshot", g_snapshot_out);
 }
 
 bool BenchTracingEnabled() { return !g_trace_out.empty(); }

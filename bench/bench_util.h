@@ -36,7 +36,10 @@ std::vector<SystemReport> RunSweep(const std::vector<RlSystemConfig>& configs);
 // experiment then records a structured trace, written as
 // "<base>.<NNN><ext>" in submission order — Chrome/Perfetto JSON when the
 // path ends in ".json", the compact binary format otherwise. Notices go to
-// stderr so table output on stdout stays byte-identical.
+// stderr so table output on stdout stays byte-identical. An output path
+// whose directory is missing or unwritable (--trace-out or --snapshot-out)
+// is reported as "trace: cannot write PATH" (or "snapshot: ...") and exits
+// with status 1 before any experiment runs.
 void InitBenchTracing(int argc, char** argv);
 bool BenchTracingEnabled();
 // Enables trace capture on `cfg` when --trace-out was given (for harnesses

@@ -1,12 +1,14 @@
 // Generation-tagged dense-ID entity table (DESIGN.md §11).
 //
 // Generalizes the simulator's event-slab pattern (src/sim/simulator.h): live
-// entities sit in a contiguous slot vector, freed slots go on a LIFO free
+// entities sit in fixed-size chunks of slots, freed slots go on a LIFO free
 // list, and every handle carries the slot's generation so a stale handle —
 // one that outlived a Remove() — is detected instead of silently aliasing
 // the slot's next tenant. Insert/Get/Remove are O(1) with no per-entity
 // allocation; this is what replaces the node-based maps on the rollout and
-// data-pool hot paths.
+// data-pool hot paths. Chunks never move, so growing the table never
+// relocates the entities already in it (the trajectory store holds tens of
+// thousands of records).
 //
 // Iteration (ForEach) visits live slots in slot order, which is NOT
 // insertion order once slots have been reused. Callers that need a
@@ -16,6 +18,7 @@
 #define LAMINAR_SRC_COMMON_ENTITY_TABLE_H_
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -49,10 +52,12 @@ class EntityTable {
       slot = free_.back();
       free_.pop_back();
     } else {
-      slot = static_cast<uint32_t>(slots_.size());
-      slots_.emplace_back();
+      slot = num_slots_++;
+      if ((slot & kChunkMask) == 0) {
+        chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
+      }
     }
-    Slot& s = slots_[slot];
+    Slot& s = At(slot);
     s.value = std::move(value);
     s.live = true;
     ++live_;
@@ -62,10 +67,10 @@ class EntityTable {
   // nullptr when the handle is invalid, freed, or from a previous tenant of
   // the slot (stale generation).
   T* Get(EntityHandle h) {
-    if (!h.valid() || h.slot() >= slots_.size()) {
+    if (!h.valid() || h.slot() >= num_slots_) {
       return nullptr;
     }
-    Slot& s = slots_[h.slot()];
+    Slot& s = At(h.slot());
     if (!s.live || s.generation != h.generation()) {
       return nullptr;
     }
@@ -83,7 +88,7 @@ class EntityTable {
     T* value = Get(h);
     LAMINAR_CHECK(value != nullptr) << "stale or invalid entity handle";
     T out = std::move(*value);
-    Slot& s = slots_[h.slot()];
+    Slot& s = At(h.slot());
     s.value = T{};
     s.live = false;
     BumpGeneration(s);
@@ -98,8 +103,8 @@ class EntityTable {
   // Slot-order traversal of live entities. fn(EntityHandle, T&).
   template <typename Fn>
   void ForEach(Fn&& fn) {
-    for (uint32_t slot = 0; slot < slots_.size(); ++slot) {
-      Slot& s = slots_[slot];
+    for (uint32_t slot = 0; slot < num_slots_; ++slot) {
+      Slot& s = At(slot);
       if (s.live) {
         fn(EntityHandle::Pack(slot, s.generation), s.value);
       }
@@ -107,8 +112,8 @@ class EntityTable {
   }
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (uint32_t slot = 0; slot < slots_.size(); ++slot) {
-      const Slot& s = slots_[slot];
+    for (uint32_t slot = 0; slot < num_slots_; ++slot) {
+      const Slot& s = At(slot);
       if (s.live) {
         fn(EntityHandle::Pack(slot, s.generation), s.value);
       }
@@ -118,8 +123,8 @@ class EntityTable {
   // Frees every live slot (generations keep advancing, so old handles stay
   // stale). Keeps the slab capacity.
   void Clear() {
-    for (uint32_t slot = 0; slot < slots_.size(); ++slot) {
-      Slot& s = slots_[slot];
+    for (uint32_t slot = 0; slot < num_slots_; ++slot) {
+      Slot& s = At(slot);
       if (s.live) {
         s.value = T{};
         s.live = false;
@@ -131,27 +136,35 @@ class EntityTable {
   }
 
   void Reserve(size_t n) {
-    slots_.reserve(n);
+    chunks_.reserve((n + kChunkMask) / kChunkSlots);
     free_.reserve(n);
   }
 
   // Test seam: pins a slot's generation so the 2^32 wrap is reachable
   // without four billion Remove() calls. The slot must exist.
   void SetSlotGenerationForTest(uint32_t slot, uint32_t generation) {
-    LAMINAR_CHECK_LT(slot, slots_.size());
-    slots_[slot].generation = generation;
+    LAMINAR_CHECK_LT(slot, num_slots_);
+    At(slot).generation = generation;
   }
   uint32_t SlotGenerationForTest(uint32_t slot) const {
-    LAMINAR_CHECK_LT(slot, slots_.size());
-    return slots_[slot].generation;
+    LAMINAR_CHECK_LT(slot, num_slots_);
+    return At(slot).generation;
   }
 
  private:
+  // The generation check and the head of the entity share a cache line.
   struct Slot {
-    T value{};
     uint32_t generation = 1;
     bool live = false;
+    T value{};
   };
+  static constexpr uint32_t kChunkSlots = 64;
+  static constexpr uint32_t kChunkMask = kChunkSlots - 1;
+
+  Slot& At(uint32_t slot) { return chunks_[slot / kChunkSlots][slot & kChunkMask]; }
+  const Slot& At(uint32_t slot) const {
+    return chunks_[slot / kChunkSlots][slot & kChunkMask];
+  }
 
   // Generations live in 32 bits and wrap under sustained slot reuse. Skip 0
   // on wrap: generation 0 on slot 0 would pack to the all-zero bit pattern,
@@ -163,7 +176,8 @@ class EntityTable {
     }
   }
 
-  std::vector<Slot> slots_;
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  uint32_t num_slots_ = 0;      // slots handed out so far; the last chunk may be partial
   std::vector<uint32_t> free_;  // LIFO: most-recently-freed slot reused first
   size_t live_ = 0;
 };

@@ -134,7 +134,8 @@ void DriverBase::BuildReplicas(int num_replicas, int tensor_parallel, int machin
     rc.max_concurrency = cfg_.max_concurrency;
     rc.kv_transfer_bandwidth = machine_spec_.rdma_flow_bandwidth;
     rc.migration_fixed_overhead *= TimeScale();
-    auto replica = std::make_unique<RolloutReplica>(&sim_, rc, decode, kv_capacity);
+    auto replica = std::make_unique<RolloutReplica>(&sim_, rc, decode, kv_capacity,
+                                                    &partial_pool_, &serving_pool_);
     replica_ptrs_.push_back(replica.get());
     replicas_.push_back(std::move(replica));
   }
@@ -185,38 +186,38 @@ void DriverBase::BuildTrainer(TrainerMode mode, bool auto_continue, TrainBackend
 
 void DriverBase::WireCompletion() {
   for (RolloutReplica* r : replica_ptrs_) {
-    r->set_on_progress([this](const TrajectoryWork& work, int replica_id) {
-      if (IsServingId(work.record.id)) {
-        return;  // serving work is never checkpointed into the pool
+    r->set_on_progress([this](const TrajectoryCursor& cursor, int replica_id) {
+      if (IsServingId(cursor.id)) {
+        return;  // serving work is never checkpointed
       }
-      partial_pool_.Update(work, replica_id);
+      partial_pool_.Update(cursor, replica_id);
     });
-    r->set_on_complete([this](TrajectoryRecord record) {
-      OnTrajectoryComplete(std::move(record));
-    });
+    r->set_on_complete([this](TrajId id) { OnTrajectoryComplete(id); });
   }
 }
 
-void DriverBase::OnTrajectoryComplete(TrajectoryRecord record) {
-  // Serving requests never touch the training data path: no pool entry, no
-  // score-RNG draw, no buffer push. Route them to the manager's SLO
-  // bookkeeping before any training side effect. (The pool gate below would
-  // also resize its dense terminal bitmap to the 2^40 serving-id range.)
-  if (IsServingId(record.id)) {
+void DriverBase::OnTrajectoryComplete(TrajId id) {
+  // Serving requests never touch the training data path: no score-RNG draw,
+  // no ledger, no buffer push. Their record leaves the serving store and the
+  // manager's SLO bookkeeping takes over.
+  if (IsServingId(id)) {
+    serving_pool_.MarkCompleted(id);
     if (serving_complete_fn_) {
-      serving_complete_fn_(std::move(record));
+      serving_complete_fn_(id);
     }
     return;
   }
-  // Exactly-once gate: a duplicate completion (a stale clone racing its
-  // migrated twin) must be suppressed before ANY side effect — scoring
-  // consumes the shared score RNG stream, so even a scored-then-discarded
-  // duplicate would perturb every later trajectory's reward.
-  if (!partial_pool_.MarkCompleted(record.id)) {
+  // Exactly-once gate: a duplicate completion must be suppressed before ANY
+  // side effect — scoring consumes the shared score RNG stream, so even a
+  // scored-then-discarded duplicate would perturb every later trajectory's
+  // reward. The first completion moves the record out of the store.
+  TrajectoryRecord record;
+  if (!partial_pool_.MarkCompleted(id, &record)) {
     LAMINAR_TRACE_INSTANT(&sim_, TraceComponent::kData, "data/duplicate_suppressed",
-                          -1, static_cast<int64_t>(record.id));
+                          -1, static_cast<int64_t>(id));
     return;
   }
+  record.finished = sim_.Now();
   record.finish_actor_version = trainer_ ? trainer_->version() : 0;
   policy_->ScoreTrajectory(record, score_rng_);
   if (staleness_samples_.size() < 500000) {
@@ -239,32 +240,29 @@ void DriverBase::OnTrajectoryComplete(TrajectoryRecord record) {
   trainer_->NotifyData();
 }
 
-std::vector<TrajectoryWork> DriverBase::MakeWorkBatch(int num_trajectories,
-                                                      int weight_version) {
+std::vector<TrajectoryCursor> DriverBase::MakeWorkBatch(int num_trajectories,
+                                                        int weight_version) {
   std::vector<TrajectoryRecord> records = prompts_->NextBatch(num_trajectories, weight_version);
-  std::vector<TrajectoryWork> works;
+  std::vector<TrajectoryCursor> works;
   works.reserve(records.size());
   for (TrajectoryRecord& rec : records) {
     rec.created = sim_.Now();
-    TrajectoryWork w;
-    w.record = std::move(rec);
-    w.InitContext();
-    works.push_back(std::move(w));
+    works.push_back(partial_pool_.Issue(std::move(rec)));
   }
   return works;
 }
 
-std::vector<std::vector<TrajectoryWork>> DriverBase::MakeGlobalBatchChunks(
+std::vector<std::vector<TrajectoryCursor>> DriverBase::MakeGlobalBatchChunks(
     int weight_version) {
   int num_replicas = static_cast<int>(replica_ptrs_.size());
-  std::vector<TrajectoryWork> all = MakeWorkBatch(cfg_.global_batch, weight_version);
-  std::vector<std::vector<TrajectoryWork>> chunks(num_replicas);
+  std::vector<TrajectoryCursor> all = MakeWorkBatch(cfg_.global_batch, weight_version);
+  std::vector<std::vector<TrajectoryCursor>> chunks(num_replicas);
   // Deal whole groups round-robin, mirroring verl's static DP sharding.
   int num_groups = cfg_.global_batch / cfg_.group_size;
   for (int g = 0; g < num_groups; ++g) {
     int target = g % num_replicas;
     for (int k = 0; k < cfg_.group_size; ++k) {
-      chunks[target].push_back(std::move(all[g * cfg_.group_size + k]));
+      chunks[target].push_back(all[g * cfg_.group_size + k]);
     }
   }
   return chunks;
@@ -515,6 +513,13 @@ void DriverBase::SnapshotComponents(SnapshotTx& tx) {
   tx.End();
   prompts_->Snapshot(tx);
   partial_pool_.Snapshot(tx);
+  if (cfg_.serving.enabled) {
+    // Serving-off blobs carry no serving state. Both stores precede the
+    // replicas: adopting a replica's cursors reads their plans.
+    tx.Begin("serving");
+    serving_pool_.Snapshot(tx);
+    tx.End();
+  }
   buffer_->Snapshot(tx);
   trainer_->Snapshot(tx);
   tx.DigestU64("replicas", replica_ptrs_.size());

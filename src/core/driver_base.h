@@ -96,10 +96,11 @@ class DriverBase : public ContinuationClient {
   // Wires completion/progress callbacks on all replicas (score + buffer push).
   void WireCompletion();
 
-  // Creates one global batch of fresh work, split into per-replica chunks of
-  // whole GRPO groups (static sharding, as verl-family systems do).
-  std::vector<std::vector<TrajectoryWork>> MakeGlobalBatchChunks(int weight_version);
-  std::vector<TrajectoryWork> MakeWorkBatch(int num_trajectories, int weight_version);
+  // Issues one global batch of fresh prompts into the store, split into
+  // per-replica cursor chunks of whole GRPO groups (static sharding, as
+  // verl-family systems do).
+  std::vector<std::vector<TrajectoryCursor>> MakeGlobalBatchChunks(int weight_version);
+  std::vector<TrajectoryCursor> MakeWorkBatch(int num_trajectories, int weight_version);
 
   // The GPU-direct global synchronization cost for baselines.
   double GlobalSyncSeconds() const;
@@ -133,7 +134,10 @@ class DriverBase : public ContinuationClient {
   int rollout_tp_ = 1;
 
   std::unique_ptr<PromptPool> prompts_;
+  // The trajectory store (DESIGN.md §11): every training record from issue
+  // to completion. Serving requests keep theirs in a second store.
   PartialResponsePool partial_pool_;
+  PartialResponsePool serving_pool_{kServingIdBase};
   std::unique_ptr<ExperienceBuffer> buffer_;
   std::unique_ptr<Policy> policy_;
   std::unique_ptr<TrainCostModel> train_cost_;
@@ -158,11 +162,11 @@ class DriverBase : public ContinuationClient {
   // kServingIdBase range) are intercepted at the top of OnTrajectoryComplete
   // — before the exactly-once pool gate, scoring, the ledger and the buffer —
   // and handed here instead. Unset when the serving tier is off.
-  std::function<void(TrajectoryRecord)> serving_complete_fn_;
+  std::function<void(TrajId)> serving_complete_fn_;
 
  private:
   void SampleRates();
-  void OnTrajectoryComplete(TrajectoryRecord record);
+  void OnTrajectoryComplete(TrajId id);
   SystemReport AssembleReport(double wall_seconds);
   // Direct-boot adoption: parses `blob`, walks SnapshotComponents in adopt
   // mode so every component seats its serialized state, then re-mints the

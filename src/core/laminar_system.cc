@@ -111,7 +111,8 @@ void LaminarSystem::Setup() {
     mgr_cfg.serving_retry_period_seconds *= TimeScale();
   }
   manager_ = std::make_unique<RolloutManager>(&sim_, mgr_cfg, replica_ptrs_, relays_.get(),
-                                              prompts_.get(), &partial_pool_);
+                                              prompts_.get(), &partial_pool_,
+                                              &serving_pool_);
   manager_->set_backlog_fn([this] { return static_cast<int64_t>(buffer_->size()); });
   if (cfg_.serving.enabled) {
     // hardware_speed dilation: the arrival rate is a rate (scales up); the
@@ -125,8 +126,8 @@ void LaminarSystem::Setup() {
     serving_traffic_ =
         std::make_unique<ServingTrafficGenerator>(sc, root_rng_.Fork("serving"));
     // Completions arrive through the driver's serving intercept.
-    serving_complete_fn_ = [this](TrajectoryRecord record) {
-      manager_->OnServingComplete(record);
+    serving_complete_fn_ = [this](TrajId id) {
+      manager_->OnServingComplete(id);
     };
   }
   for (RolloutReplica* r : replica_ptrs_) {
@@ -260,11 +261,13 @@ void LaminarSystem::Setup() {
     invariants_->set_issued_fn([this] { return prompts_->trajectories_issued(); });
     invariants_->set_inflight_fn([this] { return manager_->inflight_trajectories(); });
     invariants_->set_pool(&partial_pool_);
+    invariants_->set_manager(manager_.get());
     for (RolloutReplica* r : replica_ptrs_) {
       invariants_->AddReplica(r);
     }
     if (cfg_.serving.enabled) {
       invariants_->set_serving_fn([this] { return manager_->serving_stats(); });
+      invariants_->set_serving_pool(&serving_pool_);
     }
     // DriverBase::Run calls Setup before WireCompletion, so arming the
     // pointer here routes every buffer push through the checker.

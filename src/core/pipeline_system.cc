@@ -38,7 +38,7 @@ void PipelineSystem::StartRound() {
   training_done_ = !stream_mode() && round_ == 0;
   generation_started_ = sim_.Now();
 
-  std::vector<std::vector<TrajectoryWork>> chunks =
+  std::vector<std::vector<TrajectoryCursor>> chunks =
       MakeGlobalBatchChunks(trainer_->version());
   outstanding_replicas_ = 0;
   for (const auto& chunk : chunks) {

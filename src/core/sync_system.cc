@@ -33,7 +33,7 @@ void SyncSystem::Begin() {
 
 void SyncSystem::StartGeneration() {
   generation_started_ = sim_.Now();
-  std::vector<std::vector<TrajectoryWork>> chunks =
+  std::vector<std::vector<TrajectoryCursor>> chunks =
       MakeGlobalBatchChunks(trainer_->version());
   outstanding_replicas_ = 0;
   for (size_t i = 0; i < chunks.size(); ++i) {

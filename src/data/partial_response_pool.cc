@@ -8,9 +8,9 @@
 
 namespace laminar {
 
-bool PartialResponsePool::SetTerminal(TrajId id) {
-  LAMINAR_CHECK_GE(id, 0);
-  size_t idx = static_cast<size_t>(id);
+bool PartialResponsePool::Retire(TrajId id, TrajectoryRecord* out) {
+  LAMINAR_CHECK(InRange(id)) << "trajectory " << id << " outside the pool's id range";
+  size_t idx = static_cast<size_t>(id - id_base_);
   if (idx >= terminal_.size()) {
     terminal_.resize(idx + 1, 0);
   }
@@ -18,88 +18,85 @@ bool PartialResponsePool::SetTerminal(TrajId id) {
     return false;
   }
   terminal_[idx] = 1;
+  if (Contains(id)) {
+    Entry entry = table_.Remove(index_[idx]);
+    index_[idx] = EntityHandle{};
+    if (out != nullptr) {
+      *out = std::move(entry.record);
+    }
+  }
   return true;
 }
 
-void PartialResponsePool::Erase(TrajId id) {
-  if (Contains(id)) {
-    EntityHandle& handle = index_[static_cast<size_t>(id)];
-    table_.Remove(handle);
-    handle = EntityHandle{};
-  }
-}
-
-bool PartialResponsePool::Update(const TrajectoryWork& work, int owner_replica) {
-  TrajId id = work.record.id;
-  if (IsTerminal(id)) {
-    ++stale_updates_;
-    return false;
-  }
-  LAMINAR_CHECK(id >= 0 && !IsServingId(id))
-      << "pool ids are dense training ids; got " << id;
-  size_t idx = static_cast<size_t>(id);
+TrajectoryCursor PartialResponsePool::Issue(TrajectoryRecord record) {
+  TrajId id = record.id;
+  LAMINAR_CHECK(InRange(id) && !Contains(id) && !IsTerminal(id))
+      << "trajectory " << id << " issued twice or outside the pool's id range";
+  TrajectoryCursor cursor = TrajectoryCursor::Start(record);
+  size_t idx = static_cast<size_t>(id - id_base_);
   if (idx >= index_.size()) {
     index_.resize(idx + 1);
   }
-  EntityHandle& handle = index_[idx];
-  if (Entry* e = table_.Get(handle)) {
-    e->work = work;
-    e->owner_replica = owner_replica;
-  } else {
-    handle = table_.Insert({work, owner_replica});
+  index_[idx] = table_.Insert(Entry{std::move(record), {}, -1, 0, false});
+  return cursor;
+}
+
+bool PartialResponsePool::Update(const TrajectoryCursor& cursor, int owner_replica) {
+  // Terminal ids have no live record: the tombstone is read only on a miss.
+  Entry* e = table_.Get(HandleOf(cursor.id));
+  if (e == nullptr) {
+    LAMINAR_CHECK(IsTerminal(cursor.id))
+        << "checkpoint of trajectory " << cursor.id << ", which was never issued";
+    ++stale_updates_;
+    return false;
   }
+  e->checkpoint = cursor;
+  e->owner_replica = owner_replica;
+  e->checkpoint_versions = static_cast<uint32_t>(e->record.weight_versions.size());
+  e->checkpointed = true;
   ++updates_;
   return true;
 }
 
-bool PartialResponsePool::MarkCompleted(TrajId id) {
-  Erase(id);
-  if (!SetTerminal(id)) {
-    ++duplicate_completions_;
-    return false;
-  }
-  ++completed_;
-  return true;
+bool PartialResponsePool::MarkCompleted(TrajId id, TrajectoryRecord* out) {
+  bool first = Retire(id, out);
+  ++(first ? completed_ : duplicate_completions_);
+  return first;
 }
 
 bool PartialResponsePool::MarkDropped(TrajId id) {
-  Erase(id);
-  if (!SetTerminal(id)) {
-    return false;
-  }
-  ++dropped_;
-  return true;
+  bool first = Retire(id, nullptr);
+  dropped_ += first ? 1 : 0;
+  return first;
 }
 
-std::vector<TrajectoryWork> PartialResponsePool::TakeByReplica(int replica) {
-  std::vector<TrajId> ids;
-  table_.ForEach([&ids, replica](EntityHandle /*h*/, const Entry& entry) {
-    if (entry.owner_replica == replica) {
-      ids.push_back(entry.work.record.id);
+std::vector<TrajectoryCursor> PartialResponsePool::TakeByReplica(int replica) {
+  std::vector<Entry*> owned;
+  table_.ForEach([&owned, replica](EntityHandle /*h*/, Entry& entry) {
+    if (entry.checkpointed && entry.owner_replica == replica) {
+      owned.push_back(&entry);
     }
   });
-  std::sort(ids.begin(), ids.end());
-  std::vector<TrajectoryWork> out;
-  out.reserve(ids.size());
-  for (TrajId id : ids) {
-    EntityHandle& handle = index_[static_cast<size_t>(id)];
-    // The entry is leaving the pool either way, so move the payload out of
-    // the slab instead of copying it.
-    TrajectoryWork work = std::move(table_.Remove(handle).work);
-    handle = EntityHandle{};
-    work.kv_resident = false;
+  std::sort(owned.begin(), owned.end(),
+            [](const Entry* a, const Entry* b) { return a->record.id < b->record.id; });
+  std::vector<TrajectoryCursor> out;
+  out.reserve(owned.size());
+  for (Entry* e : owned) {
+    e->checkpointed = false;
+    e->record.weight_versions.resize(e->checkpoint_versions);
+    TrajectoryCursor cursor = e->checkpoint;
+    cursor.kv_resident = false;
     // A checkpoint taken at a sandbox-call boundary (FinishSegment reports
     // progress before advancing the segment) has its current segment fully
     // decoded. The sandbox call outlives the dead replica, so resolve the
     // interaction the same way RolloutReplica::ExtractAllWork does: append
     // the feedback and resume at the next segment on the destination.
-    if (!work.finished() && work.remaining_in_segment() == 0 &&
-        work.segment_index + 1 < static_cast<int>(work.record.spec.num_segments())) {
-      work.context_tokens += work.current_segment().feedback_tokens;
-      work.segment_index += 1;
-      work.decoded_in_segment = 0;
+    const TrajectorySpec& spec = e->record.spec;
+    if (!cursor.finished(spec) && cursor.remaining_in_segment(spec) == 0 &&
+        cursor.segment_index + 1 < static_cast<int>(spec.num_segments())) {
+      cursor.ResolveEnvCall(spec);
     }
-    out.push_back(std::move(work));
+    out.push_back(cursor);
   }
   return out;
 }
@@ -107,7 +104,9 @@ std::vector<TrajectoryWork> PartialResponsePool::TakeByReplica(int replica) {
 int64_t PartialResponsePool::total_context_tokens() const {
   int64_t total = 0;
   table_.ForEach([&total](EntityHandle /*h*/, const Entry& entry) {
-    total += entry.work.context_tokens;
+    if (entry.checkpointed) {
+      total += entry.checkpoint.context_tokens;
+    }
   });
   return total;
 }
@@ -129,21 +128,25 @@ void PartialResponsePool::Snapshot(SnapshotTx& tx) {
         terminal_.resize(static_cast<size_t>(s.U64()));
         s.Raw(terminal_.data(), terminal_.size());
       });
-  // Every live entry in ascending TrajId — the order TakeByReplica recovers
-  // work in. Slab handles are NOT serialized: they are reassigned on adopt
+  // Every live record in ascending TrajId, each followed by its checkpoint
+  // (if any). Slab handles are NOT serialized: they are reassigned on adopt
   // and never influence behavior or bytes.
   SnapshotPacked(
       tx, "entries",
       [this](ByteSink& s) {
         s.U64(table_.size());
-        for (size_t id = 0; id < index_.size(); ++id) {
-          const Entry* entry = table_.Get(index_[id]);
+        for (size_t idx = 0; idx < index_.size(); ++idx) {
+          const Entry* entry = table_.Get(index_[idx]);
           if (entry == nullptr) {
             continue;
           }
-          s.I64(static_cast<TrajId>(id));
-          s.I32(entry->owner_replica);
-          PackWork(s, entry->work);
+          PackRecord(s, entry->record);
+          s.Bool(entry->checkpointed);
+          if (entry->checkpointed) {
+            s.I32(entry->owner_replica);
+            s.U64(entry->checkpoint_versions);
+            PackCursor(s, entry->checkpoint);
+          }
         }
       },
       [this](ByteSource& s) {
@@ -151,18 +154,23 @@ void PartialResponsePool::Snapshot(SnapshotTx& tx) {
         index_.clear();
         size_t n = static_cast<size_t>(s.U64());
         table_.Reserve(n);
-        TrajId prev = -1;
+        TrajId prev = id_base_ - 1;
         for (size_t i = 0; i < n; ++i) {
-          TrajId id = s.I64();
+          TrajectoryRecord record = UnpackRecord(s);
+          TrajId id = record.id;
           LAMINAR_CHECK_GT(id, prev)
               << "partial_pool entries not in strictly ascending id order";
-          LAMINAR_CHECK(!IsTerminal(id) && !IsServingId(id))
-              << "partial_pool entry " << id << " is terminal or a serving id";
+          LAMINAR_CHECK(InRange(id) && !IsTerminal(id))
+              << "partial_pool entry " << id << " is terminal or out of range";
           prev = id;
-          int owner = s.I32();
-          TrajectoryWork work = UnpackWork(s);
-          index_.resize(static_cast<size_t>(id) + 1);
-          index_[static_cast<size_t>(id)] = table_.Insert({std::move(work), owner});
+          Issue(std::move(record));
+          Entry& entry = Live(id);
+          entry.checkpointed = s.Bool();
+          if (entry.checkpointed) {
+            entry.owner_replica = s.I32();
+            entry.checkpoint_versions = static_cast<uint32_t>(s.U64());
+            entry.checkpoint = UnpackCursor(s);
+          }
         }
       });
   tx.DigestU64("size", table_.size());

@@ -1,27 +1,23 @@
-// Partial-response pool: central, CPU-resident store of in-progress
-// trajectory state (paper §3.1, step 2 of the workflow).
+// Partial-response pool: the one central, CPU-resident store of in-flight
+// trajectories (paper §3.1). Every record lives here from issue until it is
+// terminal; replicas and the manager carry cursors (DESIGN.md §11). Rollouts
+// stream checkpoints here (a cursor plus owner written into the record's
+// slot), so a machine failure loses no work: the manager takes the dead
+// replica's checkpoints back and redirects them to healthy replicas.
 //
-// Rollouts stream progress here so that a machine failure loses no work: the
-// rollout manager redirects the interrupted TrajectoryWork items to healthy
-// replicas, which re-prefill the saved context and continue decoding.
+// It is also the exactly-once ledger: every trajectory ends terminal once,
+// completed (MarkCompleted moves the record out) or dropped, and terminal
+// ids are tombstoned so a stale checkpoint cannot resurrect an entry and a
+// duplicate completion is suppressed.
 //
-// The pool is also the system's exactly-once ledger for trajectory outcomes:
-// every trajectory ends terminal exactly once — completed (MarkCompleted) or
-// explicitly dropped (MarkDropped) — and terminal ids are tombstoned so a
-// late Update from a stale owner (e.g. a drained gray-failure replica racing
-// its migrated clone) can never resurrect the entry, and a duplicate
-// completion is suppressed rather than double-counted.
+// Records live in an EntityTable slab (O(in flight)); the id index and the
+// tombstones are dense vectors indexed by TrajId - id_base (training ids from
+// 0, serving requests in a second pool from kServingIdBase).
 //
-// Layout (DESIGN.md §11): the heavy TrajectoryWork payloads live in a
-// generation-tagged slab (EntityTable); the id index (TrajId -> slab handle)
-// and the terminal tombstones are dense vectors indexed by TrajId, since
-// trajectory ids are issued sequentially from 0.
-//
-// Recovery order is one explicit rule: TakeByReplica returns work in
-// ascending TrajId. That order feeds the manager's round-robin redirect
-// sharding and therefore the simulation's event sequence; it depends only on
-// which ids are live, never on slab layout, so a direct-boot restore
-// recovers work in the same order the uninterrupted run would have.
+// Recovery order is one rule: TakeByReplica returns cursors in ascending
+// TrajId. It feeds the manager's round-robin redirect sharding, hence the
+// event sequence, and depends only on which ids are checkpointed, never on
+// slab layout, so a direct-boot restore recovers in the same order.
 #ifndef LAMINAR_SRC_DATA_PARTIAL_RESPONSE_POOL_H_
 #define LAMINAR_SRC_DATA_PARTIAL_RESPONSE_POOL_H_
 
@@ -29,6 +25,7 @@
 #include <vector>
 
 #include "src/common/entity_table.h"
+#include "src/common/logging.h"
 #include "src/data/trajectory.h"
 
 namespace laminar {
@@ -37,64 +34,88 @@ class SnapshotTx;
 
 class PartialResponsePool {
  public:
-  // Records/overwrites the saved state for a trajectory. `owner_replica`
-  // identifies which replica currently generates it (a re-Update by a new
-  // owner after migration simply moves ownership). Returns false — and
-  // changes nothing — if the trajectory is already terminal (stale update).
-  // Serving ids (IsServingId) are never checkpointed and are rejected.
-  bool Update(const TrajectoryWork& work, int owner_replica);
+  explicit PartialResponsePool(TrajId id_base = 0) : id_base_(id_base) {}
 
-  // Marks a trajectory terminal-completed and erases its saved state.
-  // Returns true the first time; false for a duplicate completion (the
-  // caller should suppress the duplicate's side effects).
-  bool MarkCompleted(TrajId id);
-  // Marks a trajectory terminal-dropped (explicitly abandoned, e.g. work
-  // that died with a machine before ever being checkpointed). Returns true
-  // the first time; false if the trajectory was already terminal.
+  // Takes ownership of a freshly issued record and returns its start cursor.
+  TrajectoryCursor Issue(TrajectoryRecord record);
+  // The live record of an issued, non-terminal id (CHECK-fails otherwise).
+  TrajectoryRecord& record(TrajId id) { return Live(id).record; }
+
+  // Checkpoints `cursor` as owned by `owner_replica` with the record's
+  // weight_versions length (append-only, so recovery truncates back to it).
+  // Returns false, changing nothing, for a terminal id (stale update).
+  bool Update(const TrajectoryCursor& cursor, int owner_replica);
+  // Moves an existing checkpoint to `owner_replica` at `cursor`'s progress;
+  // a no-op for a trajectory with none.
+  void Rehome(const TrajectoryCursor& cursor, int owner_replica) {
+    if (Checkpointed(cursor.id)) {
+      Update(cursor, owner_replica);
+    }
+  }
+  // Marks a trajectory terminal-completed, moves its record into `*out`
+  // (when non-null) and frees the slot. Returns true the first time; false
+  // for a duplicate completion (the caller suppresses its side effects).
+  bool MarkCompleted(TrajId id, TrajectoryRecord* out = nullptr);
+  // Marks a trajectory terminal-dropped (e.g. queued work that died with a
+  // machine) and frees its record. Returns false if already terminal.
   bool MarkDropped(TrajId id);
 
-  // All in-progress work owned by `replica`, e.g. everything lost when its
-  // machine dies. The returned items have kv_resident=false (the cache died
-  // with the machine), in ascending TrajId.
-  std::vector<TrajectoryWork> TakeByReplica(int replica);
+  // Takes back every checkpoint owned by `replica` (everything lost when
+  // its machine dies) in ascending TrajId; the records stay, truncated to
+  // their checkpointed versions, and the cursors have kv_resident=false.
+  std::vector<TrajectoryCursor> TakeByReplica(int replica);
 
-  bool Contains(TrajId id) const {
-    return id >= 0 && static_cast<size_t>(id) < index_.size() &&
-           index_[static_cast<size_t>(id)].valid();
+  // Issued and not yet terminal.
+  bool Contains(TrajId id) const { return table_.Contains(HandleOf(id)); }
+  bool Checkpointed(TrajId id) const {
+    const Entry* e = table_.Get(HandleOf(id));
+    return e != nullptr && e->checkpointed;
   }
   bool IsTerminal(TrajId id) const {
-    return id >= 0 && static_cast<size_t>(id) < terminal_.size() &&
-           terminal_[static_cast<size_t>(id)] != 0;
+    size_t idx = static_cast<size_t>(id - id_base_);
+    return id >= id_base_ && idx < terminal_.size() && terminal_[idx] != 0;
   }
-  size_t size() const { return table_.size(); }
+  size_t size() const { return table_.size(); }  // live records
   int64_t updates() const { return updates_; }
   int64_t completed() const { return completed_; }
   int64_t dropped() const { return dropped_; }
   int64_t duplicate_completions() const { return duplicate_completions_; }
   int64_t stale_updates() const { return stale_updates_; }
-  // Total context tokens held (a proxy for the pool's memory footprint).
+  // Context tokens held by checkpoints (a proxy for recoverable progress).
   int64_t total_context_tokens() const;
 
-  // Snapshot (src/snapshot, DESIGN.md §13): counters, the terminal bitmap,
-  // and every live entry — id, owner and full work payload — in ascending
-  // TrajId. Adopt rejects an entries record that is not strictly ascending
-  // or that names a terminal id.
+  // Snapshot (DESIGN.md §13): counters, the terminal bitmap and every live
+  // record with its checkpoint, in ascending TrajId. Adopt rejects entries
+  // that are not strictly ascending, terminal or out of the id range.
   void Snapshot(SnapshotTx& tx);
 
  private:
   struct Entry {
-    TrajectoryWork work;
+    TrajectoryRecord record;
+    TrajectoryCursor checkpoint;
     int owner_replica = -1;
+    uint32_t checkpoint_versions = 0;  // weight_versions length at checkpoint
+    bool checkpointed = false;
   };
 
-  // Returns false if `id` was already terminal (the first call wins).
-  bool SetTerminal(TrajId id);
-  // Frees `id`'s live entry, if any.
-  void Erase(TrajId id);
+  bool InRange(TrajId id) const { return id >= id_base_ && id - id_base_ < kServingIdBase; }
+  EntityHandle HandleOf(TrajId id) const {
+    size_t idx = static_cast<size_t>(id - id_base_);
+    return id >= id_base_ && idx < index_.size() ? index_[idx] : EntityHandle{};
+  }
+  Entry& Live(TrajId id) {
+    Entry* e = table_.Get(HandleOf(id));
+    LAMINAR_CHECK(e != nullptr) << "trajectory " << id << " is not live in the store";
+    return *e;
+  }
+  // Tombstones `id` and frees its live record, if any, into `*out` (when
+  // non-null). Returns false if `id` was already terminal.
+  bool Retire(TrajId id, TrajectoryRecord* out);
 
+  TrajId id_base_;
   EntityTable<Entry> table_;
-  std::vector<EntityHandle> index_;  // slab handle, indexed by TrajId; invalid = absent
-  std::vector<uint8_t> terminal_;  // tombstone bitmap, indexed by TrajId
+  std::vector<EntityHandle> index_;  // slab handle by id - id_base; invalid = not live
+  std::vector<uint8_t> terminal_;  // tombstone bitmap by id - id_base
   int64_t updates_ = 0;
   int64_t completed_ = 0;
   int64_t dropped_ = 0;

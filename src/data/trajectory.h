@@ -1,10 +1,11 @@
-// Trajectory records and in-progress work state.
+// Trajectory records and generation cursors.
 //
 // A TrajectoryRecord is the durable description of one trajectory: its
 // generation plan, the policy version(s) that produced it, its reward and
-// its timing. TrajectoryWork wraps a record with generation progress; it is
-// the unit that moves between rollout replicas (repack, failure redirect)
-// and is checkpointed in the partial-response pool.
+// its timing. It lives in the trajectory store (PartialResponsePool) from
+// issue to completion and is then moved to the experience buffer. In-flight
+// work moves between replicas and the rollout manager as a 32-byte
+// TrajectoryCursor (id plus progress) that reads the plan through the store.
 #ifndef LAMINAR_SRC_DATA_TRAJECTORY_H_
 #define LAMINAR_SRC_DATA_TRAJECTORY_H_
 
@@ -19,11 +20,9 @@ namespace laminar {
 using TrajId = int64_t;
 constexpr TrajId kInvalidTrajId = -1;
 
-// Online serving requests (DESIGN.md §14) ride the replica engine as
-// TrajectoryWork but never enter the training data path (prompt ledger,
-// PartialResponsePool, experience buffer — all of which index dense rollout
-// ids). They live in their own id range so every layer can tell the two
-// apart with one comparison.
+// Online serving requests (DESIGN.md §14) ride the replica engine as cursors
+// but never enter the training data path (prompt ledger, experience buffer);
+// their own id range (and store) tells them apart with one comparison.
 constexpr TrajId kServingIdBase = TrajId{1} << 40;
 inline constexpr bool IsServingId(TrajId id) { return id >= kServingIdBase; }
 
@@ -83,39 +82,38 @@ struct TrajectoryRecord {
   int64_t total_tokens() const { return spec.total_context_tokens(); }
 };
 
-// Generation progress for an in-flight trajectory.
-struct TrajectoryWork {
-  TrajectoryRecord record;
+// Generation progress for an in-flight trajectory, walking its record's spec.
+struct TrajectoryCursor {
+  TrajId id = kInvalidTrajId;
   int segment_index = 0;
+  // True while the context is materialized in some replica's KVCache. A
+  // cursor that lost its cache (preemption, migration, failure) must
+  // re-prefill `context_tokens` before decoding resumes.
+  bool kv_resident = false;
   int64_t decoded_in_segment = 0;
   // Tokens currently in context (prompt + everything decoded + feedback so far).
   int64_t context_tokens = 0;
-  // True while the context is materialized in some replica's KVCache. A work
-  // item that lost its cache (preemption, migration, failure) must re-prefill
-  // `context_tokens` before decoding resumes.
-  bool kv_resident = false;
 
-  void InitContext() { context_tokens = record.spec.prompt_tokens; }
+  // The cursor of a freshly issued record: nothing decoded, prompt in context.
+  static TrajectoryCursor Start(const TrajectoryRecord& r) {
+    return {r.id, 0, false, 0, r.spec.prompt_tokens};
+  }
 
-  bool finished() const {
-    return segment_index >= static_cast<int>(record.spec.num_segments());
+  bool finished(const TrajectorySpec& spec) const {
+    return segment_index >= static_cast<int>(spec.num_segments());
   }
-  const TrajectorySegment& current_segment() const {
-    return record.spec.segments()[segment_index];
+  const TrajectorySegment& current_segment(const TrajectorySpec& spec) const {
+    return spec.segments()[segment_index];
   }
-  int64_t remaining_in_segment() const {
-    return current_segment().decode_tokens - decoded_in_segment;
+  int64_t remaining_in_segment(const TrajectorySpec& spec) const {
+    return current_segment(spec).decode_tokens - decoded_in_segment;
   }
-  int64_t remaining_decode_tokens() const {
-    if (finished()) {
-      return 0;
-    }
-    int64_t n = remaining_in_segment();
-    const std::vector<TrajectorySegment>& segments = record.spec.segments();
-    for (size_t i = segment_index + 1; i < segments.size(); ++i) {
-      n += segments[i].decode_tokens;
-    }
-    return n;
+  // Resolves the sandbox call that ends the current segment: its feedback
+  // joins the context and generation resumes at the next segment.
+  void ResolveEnvCall(const TrajectorySpec& spec) {
+    context_tokens += current_segment(spec).feedback_tokens;
+    segment_index += 1;
+    decoded_in_segment = 0;
   }
 };
 

@@ -1,5 +1,6 @@
 #include "src/fault/invariants.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -71,6 +72,21 @@ void InvariantChecker::CheckSweep() {
       Report(oss.str());
     }
   }
+  if (pool_ != nullptr) {
+    held_.clear();
+    for (const RolloutReplica* r : replicas_) {
+      r->AppendHeldIds(&held_);
+    }
+    if (manager_ != nullptr) {
+      manager_->AppendHeldIds(&held_);
+    }
+    auto serving = std::partition(held_.begin(), held_.end(),
+                                  [](TrajId id) { return !IsServingId(id); });
+    CheckHolders("trajectory", *pool_, 0, held_.begin(), serving);
+    if (serving_pool_ != nullptr) {
+      CheckHolders("serving", *serving_pool_, kServingIdBase, serving, held_.end());
+    }
+  }
   for (const RolloutReplica* r : replicas_) {
     double accounted = r->kv_used_tokens();
     double resident = r->ResidentKvTokens();
@@ -119,6 +135,51 @@ void InvariantChecker::CheckSweep() {
           << " resident=" << c.resident_now;
       Report(oss.str());
     }
+  }
+}
+
+void InvariantChecker::CheckHolders(const char* store, const PartialResponsePool& pool,
+                                    TrajId base, std::vector<TrajId>::iterator begin,
+                                    std::vector<TrajId>::iterator end) {
+  // Count holders per id in a dense scratch vector (one byte per id, like the
+  // store's tombstones), then report and reset only the touched bytes, so a
+  // sweep costs O(held).
+  size_t held_live = 0;
+  for (auto it = begin; it != end; ++it) {
+    size_t idx = static_cast<size_t>(*it - base);
+    if (idx >= holder_counts_.size()) {
+      holder_counts_.resize(idx + 1, 0);
+    }
+    uint8_t& count = holder_counts_[idx];
+    if (count == 0 && pool.Contains(*it)) {
+      ++held_live;
+    }
+    count = static_cast<uint8_t>(std::min(count + 1, 255));
+  }
+  for (auto it = begin; it != end; ++it) {
+    uint8_t& count = holder_counts_[static_cast<size_t>(*it - base)];
+    if (count == 0) {
+      continue;  // already reported and reset
+    }
+    if (count > 1) {
+      std::ostringstream oss;
+      oss << "single-holder violation: trajectory " << *it << " has "
+          << static_cast<int>(count) << " holders";
+      Report(oss.str());
+    }
+    if (!pool.Contains(*it)) {
+      std::ostringstream oss;
+      oss << "single-holder violation: trajectory " << *it << " is held but not live in the "
+          << store << " store";
+      Report(oss.str());
+    }
+    count = 0;
+  }
+  if (held_live != pool.size()) {
+    std::ostringstream oss;
+    oss << "single-holder violation: " << store << " store has " << pool.size()
+        << " live entries but " << held_live << " held";
+    Report(oss.str());
   }
 }
 

@@ -1,7 +1,7 @@
 // System-wide invariant checker (armed during chaos runs).
 //
 // The chaos engine can only prove robustness if something watches the whole
-// system while faults fire. The checker audits four global properties:
+// system while faults fire. The checker audits five global properties:
 //
 //  1. Exactly-once prompt ledger: every trajectory the prompt pool issued is,
 //     at all times, in flight (on a replica or parked in the manager),
@@ -13,6 +13,10 @@
 //     incremental decode-batch context equals the materialized sum.
 //  4. Staleness sanity: inherent staleness of every buffered record is
 //     non-negative and (optionally) within a configured bound.
+//  5. Single holder: every live entry of the trajectory store (and of the
+//     serving store) is held by exactly one cursor — on a replica (running,
+//     queued or env-waiting) or in the rollout manager (parked redirects,
+//     serving backlog) — and every held cursor names a live entry.
 //
 // Violations are recorded (or check-fail under fail_fast) with the sim time
 // and a description, so a chaos seed that breaks an invariant is directly
@@ -59,6 +63,10 @@ class InvariantChecker {
   // Trajectories currently on replicas or parked in the rollout manager.
   void set_inflight_fn(std::function<int64_t()> fn) { inflight_fn_ = std::move(fn); }
   void set_pool(const PartialResponsePool* pool) { pool_ = pool; }
+  void set_serving_pool(const PartialResponsePool* pool) { serving_pool_ = pool; }
+  // The manager's parked cursors join the replicas' in the single-holder
+  // audit (which runs whenever a pool is set).
+  void set_manager(const RolloutManager* manager) { manager_ = manager; }
   void AddReplica(const RolloutReplica* replica) { replicas_.push_back(replica); }
   // Arms the serving-tier audit: every sweep additionally checks admitted-
   // request conservation (each request in exactly one terminal-or-queued
@@ -93,6 +101,10 @@ class InvariantChecker {
 
  private:
   void Report(const std::string& what);
+  // Single-holder audit of one store (ids from `base`) against the ids its
+  // holders hold, [begin, end).
+  void CheckHolders(const char* store, const PartialResponsePool& pool, TrajId base,
+                    std::vector<TrajId>::iterator begin, std::vector<TrajId>::iterator end);
 
   Simulator* sim_;
   InvariantCheckerConfig config_;
@@ -100,7 +112,13 @@ class InvariantChecker {
   std::function<int64_t()> inflight_fn_;
   std::function<ServingStats()> serving_fn_;
   const PartialResponsePool* pool_ = nullptr;
+  const PartialResponsePool* serving_pool_ = nullptr;
+  const RolloutManager* manager_ = nullptr;
   std::vector<const RolloutReplica*> replicas_;
+  // Reused by every sweep's holder audit: the held ids, and a per-id holder
+  // count that is all zero between sweeps.
+  std::vector<TrajId> held_;
+  std::vector<uint8_t> holder_counts_;
 
   // Trajectory ids are issued sequentially from 0, so the duplicate-push set
   // is a dense bitmap (this observation runs on every completion).

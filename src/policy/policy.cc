@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
-#include <set>
 
 #include "src/common/logging.h"
 #include "src/snapshot/snapshot.h"
@@ -139,12 +139,29 @@ void Policy::ScoreTrajectory(TrajectoryRecord& record, Rng& rng) const {
   LAMINAR_CHECK(!record.weight_versions.empty());
   // True sampler: the mixture of every policy version the trajectory used
   // (equal weights; the simulator does not track per-version token counts).
-  std::set<int> distinct(record.weight_versions.begin(), record.weight_versions.end());
+  // Distinct versions are summed in ascending order, each pass picking the
+  // smallest version above the last one: the list is a handful of entries,
+  // so this beats building a set on every completion.
   double p_true = 0.0;
-  for (int v : distinct) {
-    p_true += SuccessProb(v, record.difficulty);
+  int distinct = 0;
+  const std::vector<int>& versions = record.weight_versions;
+  for (int prev = std::numeric_limits<int>::min();;) {
+    bool found = false;
+    int next = 0;
+    for (int v : versions) {
+      if ((distinct == 0 || v > prev) && (!found || v < next)) {
+        next = v;
+        found = true;
+      }
+    }
+    if (!found) {
+      break;
+    }
+    p_true += SuccessProb(next, record.difficulty);
+    ++distinct;
+    prev = next;
   }
-  p_true /= static_cast<double>(distinct.size());
+  p_true /= static_cast<double>(distinct);
   record.success = rng.Bernoulli(p_true);
   record.reward = record.success ? 1.0 : 0.0;
   // What the training stack assumes: the trajectory was produced by the

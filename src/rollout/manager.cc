@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "src/common/logging.h"
 #include "src/snapshot/snapshot.h"
@@ -22,13 +23,10 @@ constexpr int32_t kManagerComp = ContinuationComponentId(kContFamilyManager);
 // sorted ascending, inserting an empty slot if absent. Matches std::map's
 // operator[] semantics (and its ascending iteration order) without the
 // per-node allocations.
-std::vector<TrajectoryWork>& WorksForVersion(
-    std::vector<std::pair<int, std::vector<TrajectoryWork>>>& vw, int version) {
-  auto it = std::lower_bound(
-      vw.begin(), vw.end(), version,
-      [](const std::pair<int, std::vector<TrajectoryWork>>& entry, int v) {
-        return entry.first < v;
-      });
+std::vector<TrajectoryCursor>& WorksForVersion(
+    std::vector<std::pair<int, std::vector<TrajectoryCursor>>>& vw, int version) {
+  auto it = std::lower_bound(vw.begin(), vw.end(), version,
+                             [](const auto& entry, int v) { return entry.first < v; });
   if (it == vw.end() || it->first != version) {
     it = vw.insert(it, {version, {}});
   }
@@ -39,11 +37,13 @@ std::vector<TrajectoryWork>& WorksForVersion(
 
 RolloutManager::RolloutManager(Simulator* sim, RolloutManagerConfig config,
                                std::vector<RolloutReplica*> replicas, RelayTier* relays,
-                               PromptPool* prompts, PartialResponsePool* partial_pool)
+                               PromptPool* prompts, PartialResponsePool* partial_pool,
+                               PartialResponsePool* serving_pool)
     : sim_(sim), config_(config), replicas_(std::move(replicas)), relays_(relays),
-      prompts_(prompts), partial_pool_(partial_pool) {
+      prompts_(prompts), partial_pool_(partial_pool), serving_pool_(serving_pool) {
   LAMINAR_CHECK(!replicas_.empty());
   LAMINAR_CHECK_GT(config_.per_replica_batch, 0);
+  LAMINAR_CHECK(!config_.serving_enabled || serving_pool_ != nullptr);
   probes_.resize(replicas_.size());
   for (RolloutReplica* r : replicas_) {
     int id = r->config().id;
@@ -180,16 +180,14 @@ void RolloutManager::Stop() {
 }
 
 int64_t RolloutManager::inflight_trajectories() const {
-  int64_t n = 0;
-  for (const RolloutReplica* r : replicas_) {
-    // Serving requests never come from the prompt pool; the exactly-once
-    // prompt accounting counts rollout work only.
-    n += r->num_reqs() - r->num_serving();
-  }
+  return static_cast<int64_t>(partial_pool_->size());
+}
+
+void RolloutManager::AppendHeldIds(std::vector<TrajId>* ids) const {
   for (const auto& [version, works] : pending_redirects_) {
-    n += static_cast<int64_t>(works.size());
+    std::ranges::transform(works, std::back_inserter(*ids), &TrajectoryCursor::id);
   }
-  return n;
+  std::ranges::transform(serving_backlog_, std::back_inserter(*ids), &TrajectoryCursor::id);
 }
 
 bool RolloutManager::BacklogAllowsAssignment() const {
@@ -223,14 +221,11 @@ void RolloutManager::AssignFreshBatch(RolloutReplica* replica) {
   }
   std::vector<TrajectoryRecord> records =
       prompts_->NextBatch(batch, replica->weight_version());
-  std::vector<TrajectoryWork> works;
+  std::vector<TrajectoryCursor> works;
   works.reserve(records.size());
   for (TrajectoryRecord& rec : records) {
     rec.created = sim_->Now();
-    TrajectoryWork w;
-    w.record = std::move(rec);
-    w.InitContext();
-    works.push_back(std::move(w));
+    works.push_back(partial_pool_->Issue(std::move(rec)));
   }
   ++stats_.batches_assigned;
   LAMINAR_TRACE_INSTANT(sim_, TraceComponent::kManager, "manager/assign_batch",
@@ -373,16 +368,14 @@ void RolloutManager::TriggerRepack() {
       RolloutReplica* src = FindReplica(src_id);
       RolloutReplica* dst = FindReplica(dst_id);
       LAMINAR_CHECK(src != nullptr && dst != nullptr);
-      std::vector<TrajectoryWork> works = src->ExtractAllWork();
+      std::vector<TrajectoryCursor> works = src->ExtractAllWork();
       stats_.trajectories_migrated += static_cast<int64_t>(works.size());
-      for (const TrajectoryWork& w : works) {
-        // Re-home the pooled checkpoint to the destination now, not at
-        // admission: if the source machine dies while the work still queues
-        // on `dst`, a stale source-owned pool entry would otherwise be
-        // redirected as a duplicate of the live copy.
-        if (partial_pool_->Contains(w.record.id)) {
-          partial_pool_->Update(w, dst_id);
-        }
+      for (const TrajectoryCursor& w : works) {
+        // Re-home the checkpoint to the destination now, not at admission:
+        // if the source machine dies while the work still queues on `dst`, a
+        // stale source-owned checkpoint would otherwise be redirected as a
+        // second holder of the live cursor.
+        partial_pool_->Rehome(w, dst_id);
         if (w.kv_resident) {
           double kv_bytes = static_cast<double>(w.context_tokens) *
                             dst->decode_model().model().kv_bytes_per_token();
@@ -404,7 +397,7 @@ void RolloutManager::TriggerRepack() {
   }
 }
 
-void RolloutManager::RedirectWork(std::vector<TrajectoryWork> works, int weight_version) {
+void RolloutManager::RedirectWork(std::vector<TrajectoryCursor> works, int weight_version) {
   // Healthy replicas still on the same version can continue these
   // trajectories (after re-prefilling the saved context). Quarantined
   // (fail-slow) replicas are excluded: handing recovered work back to a sick
@@ -419,11 +412,9 @@ void RolloutManager::RedirectWork(std::vector<TrajectoryWork> works, int weight_
   }
   if (hosts.empty()) {
     auto& pending = WorksForVersion(pending_redirects_, weight_version);
-    for (auto& w : works) {
-      if (partial_pool_->Contains(w.record.id)) {
-        partial_pool_->Update(w, kManagerOwner);
-      }
-      pending.push_back(std::move(w));
+    for (const TrajectoryCursor& w : works) {
+      partial_pool_->Rehome(w, kManagerOwner);
+      pending.push_back(w);
     }
     ScheduleRedirectRetry();
     return;
@@ -432,16 +423,14 @@ void RolloutManager::RedirectWork(std::vector<TrajectoryWork> works, int weight_
   std::sort(hosts.begin(), hosts.end(), [](RolloutReplica* a, RolloutReplica* b) {
     return a->num_reqs() < b->num_reqs();
   });
-  std::vector<std::vector<TrajectoryWork>> shards(hosts.size());
+  std::vector<std::vector<TrajectoryCursor>> shards(hosts.size());
   for (size_t i = 0; i < works.size(); ++i) {
-    shards[i % hosts.size()].push_back(std::move(works[i]));
+    shards[i % hosts.size()].push_back(works[i]);
   }
   for (size_t i = 0; i < hosts.size(); ++i) {
     if (!shards[i].empty()) {
-      for (const TrajectoryWork& w : shards[i]) {
-        if (partial_pool_->Contains(w.record.id)) {
-          partial_pool_->Update(w, hosts[i]->config().id);
-        }
+      for (const TrajectoryCursor& w : shards[i]) {
+        partial_pool_->Rehome(w, hosts[i]->config().id);
       }
       stats_.trajectories_redirected += static_cast<int64_t>(shards[i].size());
       LAMINAR_TRACE_INSTANT(sim_, TraceComponent::kManager, "manager/redirect",
@@ -476,13 +465,16 @@ void RolloutManager::OnRedirectRetryFire() {
   }
 }
 
-void RolloutManager::RedirectByVersion(std::vector<TrajectoryWork> works,
+int RolloutManager::LatestVersion(TrajId id, int fallback) const {
+  const std::vector<int>& versions = partial_pool_->record(id).weight_versions;
+  return versions.empty() ? fallback : versions.back();
+}
+
+void RolloutManager::RedirectByVersion(std::vector<TrajectoryCursor> works,
                                        int fallback_version) {
   VersionWorks by_version;
-  for (TrajectoryWork& w : works) {
-    int v = w.record.weight_versions.empty() ? fallback_version
-                                             : w.record.weight_versions.back();
-    WorksForVersion(by_version, v).push_back(std::move(w));
+  for (const TrajectoryCursor& w : works) {
+    WorksForVersion(by_version, LatestVersion(w.id, fallback_version)).push_back(w);
   }
   for (auto& [version, group] : by_version) {
     RedirectWork(std::move(group), version);
@@ -513,15 +505,16 @@ void RolloutManager::OnMachineFailure(int machine) {
   }
   // Kill every replica on the machine before redirecting anything, so work
   // is never handed to a sibling replica that is about to die too.
-  std::vector<std::vector<TrajectoryWork>> never_admitted(casualties.size());
+  std::vector<std::vector<TrajectoryCursor>> never_admitted(casualties.size());
   for (size_t i = 0; i < casualties.size(); ++i) {
     never_admitted[i] = casualties[i]->Kill();
     monitor_.Forget(casualties[i]->config().id);
     ClearQuarantined(casualties[i]->config().id);  // crash supersedes fail-slow
   }
   if (config_.serving_enabled && !casualties.empty()) {
-    // Serving requests have no pooled checkpoint; everything resident on the
-    // dead machine (running or queued) is lost and its ticket goes terminal.
+    // Serving requests have no checkpoint; everything resident on the dead
+    // machine (running or queued) is lost, its ticket goes terminal and its
+    // record leaves the serving store.
     for (ServingTicket& t : serving_tickets_) {
       if (t.state != ServingTicketState::kRunning) {
         continue;
@@ -530,6 +523,7 @@ void RolloutManager::OnMachineFailure(int machine) {
         if (t.replica == r->config().id) {
           t.state = ServingTicketState::kFailed;
           ++serving_.failed;
+          serving_pool_->MarkDropped(kServingIdBase + (&t - serving_tickets_.data()));
           break;
         }
       }
@@ -538,21 +532,21 @@ void RolloutManager::OnMachineFailure(int machine) {
   for (size_t i = 0; i < casualties.size(); ++i) {
     RolloutReplica* r = casualties[i];
     int id = r->config().id;
-    // In-progress state survives in the partial-response pool; everything the
+    // In-progress state survives as checkpoints in the store; everything the
     // dead replica owned is redirected (re-prefill on arrival). The pool
     // hands it back in ascending id.
-    std::vector<TrajectoryWork> recovered = partial_pool_->TakeByReplica(id);
+    std::vector<TrajectoryCursor> recovered = partial_pool_->TakeByReplica(id);
     // Queued work that never streamed a checkpoint anywhere died with the
     // machine; mark it terminal-dropped so the prompt ledger stays exact.
-    for (const TrajectoryWork& w : never_admitted[i]) {
-      if (IsServingId(w.record.id)) {
+    for (const TrajectoryCursor& w : never_admitted[i]) {
+      if (IsServingId(w.id)) {
         continue;  // no prompt ledger entry; the ticket sweep above counted it
       }
-      if (std::ranges::binary_search(recovered, w.record.id, {},
-                                     [](const TrajectoryWork& r) { return r.record.id; })) {
-        continue;  // a pooled checkpoint survives and will be redirected
+      if (std::ranges::binary_search(recovered, w.id, {},
+                                     [](const TrajectoryCursor& r) { return r.id; })) {
+        continue;  // a checkpoint survives and will be redirected
       }
-      if (partial_pool_->MarkDropped(w.record.id)) {
+      if (partial_pool_->MarkDropped(w.id)) {
         ++stats_.trajectories_dropped;
       }
     }
@@ -624,7 +618,7 @@ void RolloutManager::OnReplicaSlow(int replica_id) {
   }
   ++stats_.slow_events;
   SetQuarantined(replica_id);
-  std::vector<TrajectoryWork> drained = r->ExtractAllWork();
+  std::vector<TrajectoryCursor> drained = r->ExtractAllWork();
   stats_.trajectories_drained_slow += static_cast<int64_t>(drained.size());
   LAMINAR_TRACE_INSTANT(sim_, TraceComponent::kManager, "manager/quarantine",
                         replica_id, static_cast<int64_t>(drained.size()));
@@ -784,15 +778,12 @@ void RolloutManager::OnServingArrival(const ServingRequest& request) {
   t.replica = -1;
   t.state = ServingTicketState::kQueued;
 
-  TrajectoryWork w;
-  w.record.id = kServingIdBase + request.seq;
-  w.record.created = sim_->Now();
-  TrajectorySpec spec;
-  spec.prompt_tokens = request.prompt_tokens;
-  spec.AppendSegment({request.decode_tokens, 0.0, 0});
-  w.record.spec = std::move(spec);
-  w.InitContext();
-  TryPlaceServing(std::move(w), /*admission=*/true);
+  TrajectoryRecord record;
+  record.id = kServingIdBase + request.seq;
+  record.created = sim_->Now();
+  record.spec.prompt_tokens = request.prompt_tokens;
+  record.spec.AppendSegment({request.decode_tokens, 0.0, 0});
+  TryPlaceServing(serving_pool_->Issue(std::move(record)), /*admission=*/true);
 }
 
 // The one serving-expiry boundary (ISSUE 9 satellite): a request is late iff
@@ -804,20 +795,21 @@ bool RolloutManager::ServingDeadlinePassed(double deadline_seconds) const {
   return deadline_seconds < sim_->Now().seconds();
 }
 
-bool RolloutManager::TryPlaceServing(TrajectoryWork work, bool admission) {
+bool RolloutManager::TryPlaceServing(const TrajectoryCursor& work, bool admission) {
   if (!running_) {
-    serving_backlog_.push_back(std::move(work));
+    serving_backlog_.push_back(work);
     return false;
   }
-  if (!admission && ServingDeadlinePassed(TicketFor(work.record.id).deadline_seconds)) {
+  if (!admission && ServingDeadlinePassed(TicketFor(work.id).deadline_seconds)) {
     // Applied before every placement retry, ahead of the host scan: an
     // expired queued request times out — it is never re-routed through the
     // admission gate where host availability would decide its terminal class.
-    ServingTicket& t = TicketFor(work.record.id);
+    ServingTicket& t = TicketFor(work.id);
     t.state = ServingTicketState::kTimedOut;
     ++serving_.timed_out;
+    serving_pool_->MarkDropped(work.id);
     LAMINAR_TRACE_INSTANT(sim_, TraceComponent::kManager, "manager/serving_timeout",
-                          -1, work.record.id);
+                          -1, work.id);
     return true;
   }
   // Admission host: the healthy replica with the most free KVCache. With a
@@ -840,11 +832,11 @@ bool RolloutManager::TryPlaceServing(TrajectoryWork work, bool admission) {
     }
   }
   if (best == nullptr) {
-    serving_backlog_.push_back(std::move(work));
+    serving_backlog_.push_back(work);
     return false;
   }
-  ServingTicket& t = TicketFor(work.record.id);
-  int64_t decode_tokens = work.record.spec.total_decode_tokens();
+  ServingTicket& t = TicketFor(work.id);
+  int64_t decode_tokens = serving_pool_->record(work.id).spec.total_decode_tokens();
   // SLO feasibility: prefill plus a decode estimate at the post-admission
   // batch shape. An infeasible request is rejected up front (load shedding)
   // rather than admitted to miss — the paper-standard admission-control move.
@@ -861,30 +853,28 @@ bool RolloutManager::TryPlaceServing(TrajectoryWork work, bool admission) {
     if (sim_->Now().seconds() + est > t.deadline_seconds) {
       t.state = ServingTicketState::kRejected;
       ++serving_.rejected;
+      serving_pool_->MarkDropped(work.id);
       LAMINAR_TRACE_INSTANT(sim_, TraceComponent::kManager, "manager/serving_reject",
-                            best->config().id, work.record.id);
+                            best->config().id, work.id);
       return true;
     }
   }
   // Serving preempts decode: when the best host lacks KV headroom, evict
   // in-flight rollout sequences (newest first) and park them exactly as the
-  // machine-loss path does — pool checkpoint re-homed to the manager, then
+  // machine-loss path does — checkpoint re-homed to the manager, then
   // version-bucketed for redirect.
   double needed = static_cast<double>(work.context_tokens) +
                   static_cast<double>(decode_tokens);
   if (best_free < needed) {
-    std::vector<TrajectoryWork> evicted = best->PreemptRolloutForServing(needed);
+    std::vector<TrajectoryCursor> evicted = best->PreemptRolloutForServing(needed);
     if (!evicted.empty()) {
       serving_.rollout_preempted += static_cast<int64_t>(evicted.size());
       LAMINAR_TRACE_INSTANT(sim_, TraceComponent::kManager, "manager/serving_preempt",
                             best->config().id, static_cast<int64_t>(evicted.size()));
-      for (TrajectoryWork& ew : evicted) {
-        if (partial_pool_->Contains(ew.record.id)) {
-          partial_pool_->Update(ew, kManagerOwner);
-        }
-        int v = ew.record.weight_versions.empty() ? best->weight_version()
-                                                  : ew.record.weight_versions.back();
-        WorksForVersion(pending_redirects_, v).push_back(std::move(ew));
+      for (const TrajectoryCursor& ew : evicted) {
+        partial_pool_->Rehome(ew, kManagerOwner);
+        WorksForVersion(pending_redirects_, LatestVersion(ew.id, best->weight_version()))
+            .push_back(ew);
       }
       ScheduleRedirectRetry();
     }
@@ -893,10 +883,8 @@ bool RolloutManager::TryPlaceServing(TrajectoryWork work, bool admission) {
   t.replica = best->config().id;
   ++serving_.admitted;
   LAMINAR_TRACE_INSTANT(sim_, TraceComponent::kManager, "manager/serving_admit",
-                        best->config().id, work.record.id);
-  std::vector<TrajectoryWork> one;
-  one.push_back(std::move(work));
-  best->AssignServingWork(std::move(one));
+                        best->config().id, work.id);
+  best->AssignServingWork({work});
   return true;
 }
 
@@ -906,16 +894,16 @@ void RolloutManager::ServingSweep() {
   }
   size_t n = serving_backlog_.size();
   for (size_t i = 0; i < n; ++i) {
-    TrajectoryWork w = std::move(serving_backlog_.front());
+    TrajectoryCursor w = serving_backlog_.front();
     serving_backlog_.pop_front();
     // Expiry (deadline strictly before now) is classified inside the retry
     // itself, so the sweep and the placement path share one boundary.
-    TryPlaceServing(std::move(w), /*admission=*/false);  // re-queues at the back on failure
+    TryPlaceServing(w, /*admission=*/false);  // re-queues at the back on failure
   }
 }
 
-void RolloutManager::OnServingComplete(const TrajectoryRecord& record) {
-  ServingTicket& t = TicketFor(record.id);
+void RolloutManager::OnServingComplete(TrajId id) {
+  ServingTicket& t = TicketFor(id);
   LAMINAR_CHECK(t.state == ServingTicketState::kRunning);
   t.state = ServingTicketState::kCompleted;
   ++serving_.completed;
@@ -930,7 +918,7 @@ void RolloutManager::OnServingComplete(const TrajectoryRecord& record) {
   }
   LAMINAR_TRACE_SPAN_AT(sim_, TraceComponent::kManager,
                         hit ? "manager/serving_hit" : "manager/serving_miss",
-                        t.replica, t.arrival, now, record.id, latency);
+                        t.replica, t.arrival, now, id, latency);
 }
 
 void RolloutManager::Snapshot(SnapshotTx& tx) {
@@ -943,8 +931,8 @@ void RolloutManager::Snapshot(SnapshotTx& tx) {
         for (const auto& [version, works] : pending_redirects_) {
           s.I32(version);
           s.U64(works.size());
-          for (const TrajectoryWork& w : works) {
-            PackWork(s, w);
+          for (const TrajectoryCursor& w : works) {
+            PackCursor(s, w);
           }
         }
       },
@@ -954,11 +942,11 @@ void RolloutManager::Snapshot(SnapshotTx& tx) {
         for (uint64_t i = 0; i < nv; ++i) {
           int version = s.I32();
           uint64_t nw = s.U64();
-          std::vector<TrajectoryWork>& works =
+          std::vector<TrajectoryCursor>& works =
               WorksForVersion(pending_redirects_, version);
           works.reserve(static_cast<size_t>(nw));
           for (uint64_t j = 0; j < nw; ++j) {
-            works.push_back(UnpackWork(s));
+            works.push_back(UnpackCursor(s));
           }
         }
       });
@@ -1097,15 +1085,15 @@ void RolloutManager::Snapshot(SnapshotTx& tx) {
         tx, "serving_backlog",
         [this](ByteSink& s) {
           s.U64(serving_backlog_.size());
-          for (const TrajectoryWork& w : serving_backlog_) {
-            PackWork(s, w);
+          for (const TrajectoryCursor& w : serving_backlog_) {
+            PackCursor(s, w);
           }
         },
         [this](ByteSource& s) {
           serving_backlog_.clear();
           uint64_t n = s.U64();
           for (uint64_t i = 0; i < n; ++i) {
-            serving_backlog_.push_back(UnpackWork(s));
+            serving_backlog_.push_back(UnpackCursor(s));
           }
         });
     tx.I64("serving_requests", &serving_.requests);

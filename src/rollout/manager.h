@@ -117,7 +117,8 @@ class RolloutManager : public ContinuationClient {
 
   RolloutManager(Simulator* sim, RolloutManagerConfig config,
                  std::vector<RolloutReplica*> replicas, RelayTier* relays,
-                 PromptPool* prompts, PartialResponsePool* partial_pool);
+                 PromptPool* prompts, PartialResponsePool* partial_pool,
+                 PartialResponsePool* serving_pool = nullptr);
   ~RolloutManager() override;
 
   void RunContinuation(uint16_t kind, const ContinuationPayload& p) override;
@@ -165,7 +166,7 @@ class RolloutManager : public ContinuationClient {
   void OnServingArrival(const ServingRequest& request);
   // A serving request finished decoding (routed here by the driver's
   // completion intercept — serving ids never touch the training data path).
-  void OnServingComplete(const TrajectoryRecord& record);
+  void OnServingComplete(TrajId id);
   ServingStats serving_stats() const;
   // Arrival -> completion, completions only.
   const SampleSet& serving_latency_seconds() const { return serving_latency_seconds_; }
@@ -198,14 +199,17 @@ class RolloutManager : public ContinuationClient {
   // counter by name — all fully adoptable for direct boot. Replica state is
   // witnessed by the driver, which owns the replicas.
   void Snapshot(SnapshotTx& tx);
+  // The store's live records; each has one holder, on a replica or here.
   int64_t inflight_trajectories() const;
+  // Ids of every cursor parked here, for the single-holder audit.
+  void AppendHeldIds(std::vector<TrajId>* ids) const;
   const RolloutManagerConfig& config() const { return config_; }
 
  private:
   // Version -> parked work, kept sorted ascending by version. Replaces a
   // std::map: iteration order (ascending) and per-version work order are
   // identical, but entries live in one flat allocation.
-  using VersionWorks = std::vector<std::pair<int, std::vector<TrajectoryWork>>>;
+  using VersionWorks = std::vector<std::pair<int, std::vector<TrajectoryCursor>>>;
 
   // Per-request serving bookkeeping, indexed by (id - kServingIdBase).
   enum class ServingTicketState : uint8_t {
@@ -252,15 +256,17 @@ class RolloutManager : public ContinuationClient {
   // outcomes return true. `admission` distinguishes the arrival path (SLO
   // feasibility may load-shed) from backlog retries (expire via the pinned
   // boundary, otherwise place or re-queue — never reject).
-  bool TryPlaceServing(TrajectoryWork work, bool admission);
+  bool TryPlaceServing(const TrajectoryCursor& work, bool admission);
   // Periodic backlog pass: retry placement for every queued request (expiry
   // is classified inside the retry, against the pinned boundary).
   void ServingSweep();
   bool BacklogAllowsAssignment() const;
-  void RedirectWork(std::vector<TrajectoryWork> works, int weight_version);
+  void RedirectWork(std::vector<TrajectoryCursor> works, int weight_version);
   void FlushPendingRedirects();
   void ScheduleRedirectRetry();
-  void RedirectByVersion(std::vector<TrajectoryWork> works, int fallback_version);
+  void RedirectByVersion(std::vector<TrajectoryCursor> works, int fallback_version);
+  // The latest policy version `id` ran under, or `fallback` if none yet.
+  int LatestVersion(TrajId id, int fallback) const;
   RolloutReplica* FindReplica(int replica_id) const;
   // Sets/clears the quarantine bit; returns whether the bit changed.
   bool SetQuarantined(int replica_id);
@@ -275,6 +281,7 @@ class RolloutManager : public ContinuationClient {
   RelayTier* relays_;
   PromptPool* prompts_;
   PartialResponsePool* partial_pool_;
+  PartialResponsePool* serving_pool_;
   std::function<int64_t()> backlog_fn_;
 
   IdlenessMonitor monitor_;
@@ -307,7 +314,7 @@ class RolloutManager : public ContinuationClient {
   RolloutManagerStats stats_;
   // Serving tier state (empty/zero when the tier is off).
   std::vector<ServingTicket> serving_tickets_;
-  std::deque<TrajectoryWork> serving_backlog_;
+  std::deque<TrajectoryCursor> serving_backlog_;
   std::unique_ptr<PeriodicTask> serving_tick_;
   ServingStats serving_;  // counters only; serving_stats() fills the depths
   SampleSet serving_latency_seconds_;

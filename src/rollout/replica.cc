@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "src/common/logging.h"
 #include "src/snapshot/snapshot.h"
@@ -27,10 +28,12 @@ const char* ReplicaPhaseName(ReplicaPhase phase) {
 }
 
 RolloutReplica::RolloutReplica(Simulator* sim, ReplicaConfig config, DecodeModel decode,
-                               double kv_capacity_tokens)
+                               double kv_capacity_tokens, PartialResponsePool* pool,
+                               PartialResponsePool* serving_pool)
     : sim_(sim), config_(config), decode_(std::move(decode)),
-      kv_capacity_tokens_(kv_capacity_tokens) {
+      kv_capacity_tokens_(kv_capacity_tokens), pool_(pool), serving_pool_(serving_pool) {
   LAMINAR_CHECK_GT(kv_capacity_tokens_, 0.0);
+  LAMINAR_CHECK(pool_ != nullptr);
   LAMINAR_CHECK_GT(config_.max_concurrency, 0);
   sim_->continuations().Register(
       ContinuationComponentId(kContFamilyReplica, config_.id), this);
@@ -48,7 +51,7 @@ void RolloutReplica::RunContinuation(uint16_t kind, const ContinuationPayload& p
       Advance(p.a);
       return;
     case kContEnvRejoin:
-      RejoinFromEnv(FindEnvBySeq(static_cast<uint64_t>(p.a)));
+      RejoinFromEnv(static_cast<uint64_t>(p.a));
       return;
   }
   LAMINAR_CHECK(false) << "unknown replica continuation kind " << kind;
@@ -64,18 +67,12 @@ void RolloutReplica::RestoreContinuation(uint16_t kind, const ContinuationPayloa
       LAMINAR_CHECK_EQ(p.a, advance_steps_);
       advance_event_ = sim_->ScheduleContinuationAt(at, comp, kind, p);
       return;
-    case kContEnvRejoin: {
-      // The payload carries the env seq — the stable key into env_waiting_
-      // (slab handles are NOT stable across a restore: adoption re-inserts
-      // the entries). Re-scheduling the identical payload keeps the re-minted
-      // heap byte-equal to the blob's event_heap section.
-      EnvEntry* entry =
-          env_waiting_.Get(FindEnvBySeq(static_cast<uint64_t>(p.a)));
-      LAMINAR_CHECK(entry != nullptr)
-          << "pending env rejoin for unknown seq " << p.a;
-      entry->event = sim_->ScheduleContinuationAt(at, comp, kind, p);
+    case kContEnvRejoin:
+      // The payload carries the env seq, the stable key into env_.
+      // Re-scheduling the identical payload keeps the re-minted heap
+      // byte-equal to the blob's event_heap section.
+      EnvAt(static_cast<uint64_t>(p.a)).event = sim_->ScheduleContinuationAt(at, comp, kind, p);
       return;
-    }
   }
   LAMINAR_CHECK(false) << "replica continuation kind " << kind
                        << " cannot be pending on the heap";
@@ -103,12 +100,13 @@ void RolloutReplica::TouchMetrics() {
   trace_was_busy_ = busy_now;
 }
 
-void RolloutReplica::AssignWork(std::vector<TrajectoryWork> works, bool kv_transferred) {
+void RolloutReplica::AssignWork(std::vector<TrajectoryCursor> works, bool kv_transferred) {
   LAMINAR_CHECK(phase_ != ReplicaPhase::kDead) << "assigning work to a dead replica";
   SyncProgress();
-  for (TrajectoryWork& w : works) {
-    LAMINAR_CHECK(!w.finished());
-    LAMINAR_CHECK_GE(w.remaining_in_segment(), 1);
+  for (TrajectoryCursor& w : works) {
+    const TrajectorySpec& spec = SpecOf(w.id);
+    LAMINAR_CHECK(!w.finished(spec));
+    LAMINAR_CHECK_GE(w.remaining_in_segment(spec), 1);
     if (kv_transferred && w.kv_resident) {
       // KV pages stream over RDMA to this replica; decoding stalls for the
       // transfer but no recompute is needed.
@@ -120,7 +118,7 @@ void RolloutReplica::AssignWork(std::vector<TrajectoryWork> works, bool kv_trans
     } else {
       w.kv_resident = false;  // will re-prefill on admission
     }
-    waiting_.push_back(std::move(w));
+    waiting_.push_back(w);
   }
   if (phase_ == ReplicaPhase::kIdle && busy()) {
     phase_ = ReplicaPhase::kGenerating;
@@ -131,19 +129,19 @@ void RolloutReplica::AssignWork(std::vector<TrajectoryWork> works, bool kv_trans
   }
 }
 
-void RolloutReplica::AssignServingWork(std::vector<TrajectoryWork> works) {
+void RolloutReplica::AssignServingWork(std::vector<TrajectoryCursor> works) {
   LAMINAR_CHECK(phase_ != ReplicaPhase::kDead) << "serving work on a dead replica";
   SyncProgress();
   // Reverse push_front keeps the caller's order at the head of the queue,
   // ahead of every queued rollout sequence (TryAdmit is front-only).
   for (size_t i = works.size(); i > 0; --i) {
-    TrajectoryWork& w = works[i - 1];
-    LAMINAR_CHECK(IsServingId(w.record.id));
-    LAMINAR_CHECK(!w.finished());
+    TrajectoryCursor& w = works[i - 1];
+    LAMINAR_CHECK(IsServingId(w.id));
+    LAMINAR_CHECK(!w.finished(SpecOf(w.id)));
     w.kv_resident = false;  // prefill on admission
     ++num_serving_;
     ++serving_assigned_total_;
-    waiting_.push_front(std::move(w));
+    waiting_.push_front(w);
   }
   if (phase_ == ReplicaPhase::kIdle && busy()) {
     phase_ = ReplicaPhase::kGenerating;
@@ -154,8 +152,8 @@ void RolloutReplica::AssignServingWork(std::vector<TrajectoryWork> works) {
   }
 }
 
-std::vector<TrajectoryWork> RolloutReplica::PreemptRolloutForServing(double needed_tokens) {
-  std::vector<TrajectoryWork> evicted;
+std::vector<TrajectoryCursor> RolloutReplica::PreemptRolloutForServing(double needed_tokens) {
+  std::vector<TrajectoryCursor> evicted;
   if (phase_ == ReplicaPhase::kDead) {
     return evicted;
   }
@@ -164,17 +162,17 @@ std::vector<TrajectoryWork> RolloutReplica::PreemptRolloutForServing(double need
   while (scan > 0 && kv_capacity_tokens_ - kv_used_tokens_ < needed_tokens) {
     --scan;
     const RunningSeq& seq = running_[scan];
-    if (!seq.live || IsServingId(seq.work.record.id)) {
+    if (!seq.live || IsServingId(seq.cursor.id)) {
       continue;  // serving never evicts serving
     }
-    TrajectoryWork victim = TakeRunning(scan);
+    TrajectoryCursor victim = TakeRunning(scan);
     scan = std::min(scan, running_.size());  // the tail trim may pass it
     kv_used_tokens_ -= static_cast<double>(victim.context_tokens);
     victim.kv_resident = false;
     LAMINAR_TRACE_INSTANT(sim_, TraceComponent::kReplica, "replica/serving_preempt",
-                          config_.id, victim.record.id);
+                          config_.id, victim.id);
     ++metrics_.preemptions;
-    evicted.push_back(std::move(victim));
+    evicted.push_back(victim);
   }
   MaybeCompactRunning();
   if (phase_ == ReplicaPhase::kGenerating) {
@@ -184,9 +182,9 @@ std::vector<TrajectoryWork> RolloutReplica::PreemptRolloutForServing(double need
   return evicted;
 }
 
-std::vector<TrajectoryWork> RolloutReplica::ExtractAllWork() {
+std::vector<TrajectoryCursor> RolloutReplica::ExtractAllWork() {
   SyncProgress();
-  std::vector<TrajectoryWork> out;
+  std::vector<TrajectoryCursor> out;
   // Serving requests are latency-bound and pinned to their host: they stay
   // resident (running and queued) while every rollout sequence drains. With
   // the tier off this loop is the historical drain-everything path.
@@ -195,14 +193,14 @@ std::vector<TrajectoryWork> RolloutReplica::ExtractAllWork() {
     if (!seq.live) {
       continue;
     }
-    if (IsServingId(seq.work.record.id)) {
-      kept.push_back(std::move(seq));
+    if (IsServingId(seq.cursor.id)) {
+      kept.push_back(seq);
       continue;
     }
     Rebase(seq);
-    decode_ctx_total_ -= seq.work.context_tokens;
-    kv_used_tokens_ -= static_cast<double>(seq.work.context_tokens);
-    out.push_back(std::move(seq.work));
+    decode_ctx_total_ -= seq.cursor.context_tokens;
+    kv_used_tokens_ -= static_cast<double>(seq.cursor.context_tokens);
+    out.push_back(seq.cursor);
   }
   running_ = std::move(kept);
   running_live_ = running_.size();
@@ -213,33 +211,27 @@ std::vector<TrajectoryWork> RolloutReplica::ExtractAllWork() {
   // segment on the destination. Its cached KV on this replica is discarded.
   // Cancellation and resolution both walk admission (seq) order, the old
   // insertion order, so recovery order is unchanged.
-  std::vector<EntityHandle> env_handles = EnvHandlesInSeqOrder();
-  for (EntityHandle h : env_handles) {
-    sim_->Cancel(env_waiting_.Get(h)->event);
+  for (const EnvEntry& e : env_) {
+    if (e.live) {
+      sim_->Cancel(e.event);
+    }
   }
-  for (EntityHandle h : env_handles) {
-    TrajectoryWork w = RemoveEnv(h);
+  while (env_live_ > 0) {
+    TrajectoryCursor w = RemoveEnv(env_base_ + env_head_);
     kv_used_tokens_ -= static_cast<double>(w.context_tokens);
     w.kv_resident = false;
-    const TrajectorySegment& seg = w.current_segment();
-    w.context_tokens += seg.feedback_tokens;
-    w.segment_index += 1;
-    w.decoded_in_segment = 0;
-    if (w.finished()) {
-      CompleteTrajectory(std::move(w));
+    const TrajectorySpec& spec = SpecOf(w.id);
+    w.ResolveEnvCall(spec);
+    if (w.finished(spec)) {
+      CompleteTrajectory(w);
     } else {
-      out.push_back(std::move(w));
+      out.push_back(w);
     }
   }
-  std::deque<TrajectoryWork> kept_waiting;
-  for (TrajectoryWork& w : waiting_) {
-    if (IsServingId(w.record.id)) {
-      kept_waiting.push_back(std::move(w));
-    } else {
-      out.push_back(std::move(w));
-    }
-  }
-  waiting_ = std::move(kept_waiting);
+  auto rollout = std::stable_partition(waiting_.begin(), waiting_.end(),
+                                       [](const TrajectoryCursor& w) { return IsServingId(w.id); });
+  out.insert(out.end(), rollout, waiting_.end());
+  waiting_.erase(rollout, waiting_.end());
   metrics_.migrations_out += static_cast<int64_t>(out.size());
   if (num_serving_ == 0) {
     // Everything drained: exact integer-token subtraction above already left
@@ -334,27 +326,30 @@ void RolloutReplica::Resume(int new_version, bool recompute_kv) {
   if (new_version >= 0 && new_version != weight_version_) {
     SetWeightVersion(new_version);
     // Partial rollout: every open trajectory continues under the new policy.
-    auto stamp = [new_version](TrajectoryWork& w) {
-      if (!w.record.weight_versions.empty() &&
-          w.record.weight_versions.back() != new_version) {
-        w.record.weight_versions.push_back(new_version);
+    auto stamp = [this, new_version](TrajId id) {
+      std::vector<int>& versions = StoreFor(id).record(id).weight_versions;
+      if (!versions.empty() && versions.back() != new_version) {
+        versions.push_back(new_version);
       }
     };
-    for (RunningSeq& seq : running_) {
+    for (const RunningSeq& seq : running_) {
       if (seq.live) {
-        stamp(seq.work);
+        stamp(seq.cursor.id);
       }
     }
-    env_waiting_.ForEach([&stamp](EntityHandle, EnvEntry& e) { stamp(e.work); });
+    double env_context = 0.0;
+    for (const EnvEntry& e : env_) {
+      if (e.live) {
+        stamp(e.cursor.id);
+        env_context += static_cast<double>(e.cursor.context_tokens);
+      }
+    }
     if (recompute_kv) {
       // The cache holds activations of the *old* weights; every resident
       // context must be re-prefilled (the paper's partial-rollout overhead).
       // Context counts are integers below 2^53, so this double sum is exact
       // and independent of traversal order.
-      double recompute_tokens = static_cast<double>(MaterializedDecodeContext());
-      env_waiting_.ForEach([&recompute_tokens](EntityHandle, const EnvEntry& e) {
-        recompute_tokens += static_cast<double>(e.work.context_tokens);
-      });
+      double recompute_tokens = static_cast<double>(MaterializedDecodeContext()) + env_context;
       pending_stall_seconds_ += decode_.PrefillLatency(recompute_tokens) / speed_factor_;
       metrics_.prefill_tokens += static_cast<int64_t>(recompute_tokens);
     }
@@ -366,27 +361,29 @@ void RolloutReplica::Resume(int new_version, bool recompute_kv) {
   }
 }
 
-std::vector<TrajectoryWork> RolloutReplica::Kill() {
+std::vector<TrajectoryCursor> RolloutReplica::Kill() {
   CancelAdvance();
-  for (EntityHandle h : EnvHandlesInSeqOrder()) {
-    sim_->Cancel(env_waiting_.Get(h)->event);
+  for (const EnvEntry& e : env_) {
+    if (e.live) {
+      sim_->Cancel(e.event);
+    }
   }
-  // Running and env-waiting work streamed checkpoints to the partial pool at
+  // Running and env-waiting work streamed checkpoints to the store at
   // admission, so the manager recovers those via TakeByReplica. Queued work
   // may never have been admitted anywhere; hand it back so the caller can
   // account for it explicitly instead of losing it silently.
-  std::vector<TrajectoryWork> discarded;
-  discarded.reserve(waiting_.size());
-  for (TrajectoryWork& w : waiting_) {
+  std::vector<TrajectoryCursor> discarded(waiting_.begin(), waiting_.end());
+  for (TrajectoryCursor& w : discarded) {
     w.kv_resident = false;
-    discarded.push_back(std::move(w));
   }
   running_.clear();
   running_live_ = 0;
   decode_ctx_total_ = 0;
   boundary_heap_.clear();
   waiting_.clear();
-  ClearEnv();
+  env_.clear();
+  env_head_ = 0;
+  env_live_ = 0;
   num_serving_ = 0;  // resident serving requests die with the machine
   kv_used_tokens_ = 0.0;
   pending_stall_seconds_ = 0.0;
@@ -424,11 +421,11 @@ void RolloutReplica::SetSpeedFactor(double factor) {
 double RolloutReplica::ResidentKvTokens() const {
   // Context counts are integers below 2^53, so the double sum is exact.
   double total = static_cast<double>(MaterializedDecodeContext());
-  env_waiting_.ForEach([&total](EntityHandle, const EnvEntry& e) {
-    if (e.work.kv_resident) {
-      total += static_cast<double>(e.work.context_tokens);
+  for (const EnvEntry& e : env_) {
+    if (e.live && e.cursor.kv_resident) {
+      total += static_cast<double>(e.cursor.context_tokens);
     }
-  });
+  }
   return total;
 }
 
@@ -436,10 +433,24 @@ int64_t RolloutReplica::MaterializedDecodeContext() const {
   int64_t total = 0;
   for (const RunningSeq& seq : running_) {
     if (seq.live) {
-      total += seq.work.context_tokens + (decode_epoch_ - seq.base);
+      total += seq.cursor.context_tokens + (decode_epoch_ - seq.base);
     }
   }
   return total;
+}
+
+void RolloutReplica::AppendHeldIds(std::vector<TrajId>* ids) const {
+  for (const RunningSeq& seq : running_) {
+    if (seq.live) {
+      ids->push_back(seq.cursor.id);
+    }
+  }
+  std::ranges::transform(waiting_, std::back_inserter(*ids), &TrajectoryCursor::id);
+  for (const EnvEntry& e : env_) {
+    if (e.live) {
+      ids->push_back(e.cursor.id);
+    }
+  }
 }
 
 void RolloutReplica::SkewDecodeBaseForTest(int64_t delta) {
@@ -451,65 +462,43 @@ void RolloutReplica::SkewDecodeBaseForTest(int64_t delta) {
   }
 }
 
-std::vector<EntityHandle> RolloutReplica::EnvHandlesInSeqOrder() const {
-  std::vector<EntityHandle> handles;
-  handles.reserve(env_waiting_.size());
-  for (size_t i = env_head_; i < env_by_seq_.size(); ++i) {
-    if (env_by_seq_[i].valid()) {
-      handles.push_back(env_by_seq_[i]);
-    }
-  }
-  return handles;
+RolloutReplica::EnvEntry& RolloutReplica::EnvAt(uint64_t seq) {
+  uint64_t i = seq - env_base_;
+  LAMINAR_CHECK(seq >= env_base_ && i < env_.size() && env_[i].live)
+      << "env rejoin for unknown seq " << seq;
+  return env_[i];
 }
 
-EntityHandle RolloutReplica::FindEnvBySeq(uint64_t seq) const {
-  EntityHandle found;
-  if (seq >= env_seq_front_ && seq - env_seq_front_ < env_by_seq_.size() - env_head_) {
-    found = env_by_seq_[env_head_ + (seq - env_seq_front_)];
-  }
-  LAMINAR_CHECK(found.valid()) << "env rejoin for unknown seq " << seq;
-  return found;
-}
-
-void RolloutReplica::InsertEnv(EnvEntry entry) {
+RolloutReplica::EnvEntry& RolloutReplica::InsertEnv(uint64_t seq, const TrajectoryCursor& cursor,
+                                                    SimTime at) {
   // Seqs arrive in increasing order (live calls mint ++env_seq_; adoption
-  // replays them ascending), so the index only grows at its back.
-  uint64_t seq = entry.seq;
-  LAMINAR_CHECK_GE(seq, env_seq_front_ + (env_by_seq_.size() - env_head_))
-      << "env seq " << seq << " out of order";
-  if (env_head_ == env_by_seq_.size()) {
-    env_by_seq_.clear();
+  // replays them ascending), so entries only append.
+  if (env_live_ == 0) {
+    env_.clear();
+    env_base_ = seq;
     env_head_ = 0;
-    env_seq_front_ = seq;
   }
-  env_by_seq_.resize(env_head_ + (seq - env_seq_front_), EntityHandle{});
-  env_by_seq_.push_back(env_waiting_.Insert(std::move(entry)));
+  LAMINAR_CHECK_GE(seq, env_base_ + env_.size()) << "env seq " << seq << " out of order";
+  env_.resize(seq - env_base_);  // tombstones for seqs that already returned
+  env_.push_back(EnvEntry{cursor, kInvalidEventId, at, true});
+  ++env_live_;
+  return env_.back();
 }
 
-TrajectoryWork RolloutReplica::RemoveEnv(EntityHandle handle) {
-  EnvEntry entry = env_waiting_.Remove(handle);
-  env_by_seq_[env_head_ + (entry.seq - env_seq_front_)] = EntityHandle{};
-  while (env_head_ < env_by_seq_.size() && !env_by_seq_[env_head_].valid()) {
+TrajectoryCursor RolloutReplica::RemoveEnv(uint64_t seq) {
+  EnvEntry& entry = EnvAt(seq);
+  entry.live = false;
+  --env_live_;
+  TrajectoryCursor cursor = entry.cursor;
+  while (env_head_ < env_.size() && !env_[env_head_].live) {
     ++env_head_;
-    ++env_seq_front_;
   }
-  if (env_head_ > 32 && env_head_ * 2 > env_by_seq_.size()) {
-    env_by_seq_.erase(env_by_seq_.begin(),
-                      env_by_seq_.begin() + static_cast<std::ptrdiff_t>(env_head_));
+  if (env_head_ > 32 && env_head_ * 2 > env_.size()) {
+    env_.erase(env_.begin(), env_.begin() + static_cast<std::ptrdiff_t>(env_head_));
+    env_base_ += env_head_;
     env_head_ = 0;
   }
-  return std::move(entry.work);
-}
-
-void RolloutReplica::ClearEnv() {
-  env_waiting_.Clear();
-  env_by_seq_.clear();
-  env_head_ = 0;
-  env_seq_front_ = 0;
-}
-
-int64_t RolloutReplica::ObservedDecodeTokens() const {
-  return ObservedDecodeProbe().tokens;
+  return cursor;
 }
 
 RolloutReplica::DecodeProbeSample RolloutReplica::ObservedDecodeProbe() const {
@@ -644,19 +633,19 @@ void RolloutReplica::PreemptForHeadroom() {
     if (num_serving_ > 0) {
       size_t i = running_.size();
       while (i > 0 &&
-             (!running_[i - 1].live || IsServingId(running_[i - 1].work.record.id))) {
+             (!running_[i - 1].live || IsServingId(running_[i - 1].cursor.id))) {
         --i;
       }
       if (i > 0) {
         victim_idx = i - 1;
       }
     }
-    TrajectoryWork victim = TakeRunning(victim_idx);
+    TrajectoryCursor victim = TakeRunning(victim_idx);
     kv_used_tokens_ -= static_cast<double>(victim.context_tokens);
     victim.kv_resident = false;
     LAMINAR_TRACE_INSTANT(sim_, TraceComponent::kReplica, "replica/preempt", config_.id,
-                          victim.record.id);
-    waiting_.push_front(std::move(victim));
+                          victim.id);
+    waiting_.push_front(victim);
     ++metrics_.preemptions;
   }
   MaybeCompactRunning();
@@ -665,18 +654,17 @@ void RolloutReplica::PreemptForHeadroom() {
 void RolloutReplica::TryAdmit() {
   double admit_limit = kv_capacity_tokens_ * (1.0 - config_.admit_headroom_frac);
   while (!waiting_.empty()) {
-    int active = static_cast<int>(running_live_ + env_waiting_.size());
+    int active = static_cast<int>(running_live_ + env_live_);
     if (active >= config_.max_concurrency) {
       break;
     }
-    TrajectoryWork& front = waiting_.front();
-    double needed = static_cast<double>(front.context_tokens);
+    double needed = static_cast<double>(waiting_.front().context_tokens);
     double growth_reserve = static_cast<double>(
         (static_cast<int64_t>(running_live_) + 1) * config_.kv_growth_reserve_steps);
     if (kv_used_tokens_ + needed + growth_reserve > admit_limit) {
       break;
     }
-    TrajectoryWork w = std::move(front);
+    TrajectoryCursor w = waiting_.front();
     waiting_.pop_front();
     if (!w.kv_resident) {
       pending_stall_seconds_ +=
@@ -685,13 +673,14 @@ void RolloutReplica::TryAdmit() {
       w.kv_resident = true;
     }
     kv_used_tokens_ += static_cast<double>(w.context_tokens);
-    if (w.record.weight_versions.empty()) {
-      w.record.weight_versions.push_back(weight_version_);
+    TrajectoryRecord& record = StoreFor(w.id).record(w.id);
+    if (record.weight_versions.empty()) {
+      record.weight_versions.push_back(weight_version_);
     }
     if (on_progress_) {
       on_progress_(w, config_.id);
     }
-    PushRunning(std::move(w));
+    PushRunning(w, record.spec);
   }
 }
 
@@ -720,8 +709,8 @@ void RolloutReplica::Advance(int64_t steps) {
     boundary_scratch_.push_back(TakeRunning(key.index));
   }
   MaybeCompactRunning();
-  for (TrajectoryWork& w : boundary_scratch_) {
-    FinishSegment(std::move(w));
+  for (const TrajectoryCursor& w : boundary_scratch_) {
+    FinishSegment(w);
   }
   boundary_scratch_.clear();
   TryAdmit();
@@ -729,40 +718,40 @@ void RolloutReplica::Advance(int64_t steps) {
   CheckBatchDone();
 }
 
-void RolloutReplica::PushRunning(TrajectoryWork work) {
-  int64_t remaining = work.remaining_in_segment();
+void RolloutReplica::PushRunning(const TrajectoryCursor& cursor, const TrajectorySpec& spec) {
+  int64_t remaining = cursor.remaining_in_segment(spec);
   LAMINAR_CHECK_GE(remaining, 1);
-  decode_ctx_total_ += work.context_tokens;
+  decode_ctx_total_ += cursor.context_tokens;
   RunningSeq seq;
-  seq.work = std::move(work);
+  seq.cursor = cursor;
   seq.base = decode_epoch_;
+  seq.boundary = decode_epoch_ + remaining;
   seq.stamp = next_stamp_++;
   seq.live = true;
-  boundary_heap_.push_back(
-      BoundaryKey{decode_epoch_ + remaining, seq.stamp, running_.size()});
+  boundary_heap_.push_back(BoundaryKey{seq.boundary, seq.stamp, running_.size()});
   std::push_heap(boundary_heap_.begin(), boundary_heap_.end(), BoundaryLater);
-  running_.push_back(std::move(seq));
+  running_.push_back(seq);
   ++running_live_;
 }
 
-TrajectoryWork RolloutReplica::TakeRunning(size_t index) {
+TrajectoryCursor RolloutReplica::TakeRunning(size_t index) {
   RunningSeq& seq = running_[index];
   LAMINAR_CHECK(seq.live);
   Rebase(seq);
-  TrajectoryWork work = std::move(seq.work);
-  decode_ctx_total_ -= work.context_tokens;
+  decode_ctx_total_ -= seq.cursor.context_tokens;
   seq.live = false;
   --running_live_;
+  TrajectoryCursor cursor = seq.cursor;
   while (!running_.empty() && !running_.back().live) {
     running_.pop_back();
   }
-  return work;
+  return cursor;
 }
 
 void RolloutReplica::Rebase(RunningSeq& seq) const {
   int64_t steps = decode_epoch_ - seq.base;
-  seq.work.context_tokens += steps;
-  seq.work.decoded_in_segment += steps;
+  seq.cursor.context_tokens += steps;
+  seq.cursor.decoded_in_segment += steps;
   seq.base = decode_epoch_;
 }
 
@@ -789,66 +778,58 @@ void RolloutReplica::RebuildBoundaryHeap() {
   for (size_t i = 0; i < running_.size(); ++i) {
     const RunningSeq& seq = running_[i];
     if (seq.live) {
-      boundary_heap_.push_back(
-          BoundaryKey{seq.base + seq.work.remaining_in_segment(), seq.stamp, i});
+      boundary_heap_.push_back(BoundaryKey{seq.boundary, seq.stamp, i});
     }
   }
   std::make_heap(boundary_heap_.begin(), boundary_heap_.end(), BoundaryLater);
 }
 
-void RolloutReplica::FinishSegment(TrajectoryWork work) {
-  const TrajectorySegment& seg = work.current_segment();
-  if (seg.env_latency > 0.0) {
+void RolloutReplica::FinishSegment(TrajectoryCursor cursor) {
+  const TrajectorySpec& spec = SpecOf(cursor.id);
+  double env_latency = cursor.current_segment(spec).env_latency;
+  if (env_latency > 0.0) {
     // Trajectory leaves the decode batch for its sandbox call; the KV pages
     // stay resident so no recompute is needed on rejoin. The rejoin event
-    // names the entry by seq, which env_by_seq_ resolves in O(1).
+    // names the entry by seq, so the descriptor serializes and re-mints
+    // byte-exactly.
     if (on_progress_) {
-      on_progress_(work, config_.id);
+      on_progress_(cursor, config_.id);
     }
-    EnvEntry entry;
-    entry.work = std::move(work);
-    entry.at = sim_->Now() + seg.env_latency;
-    entry.seq = ++env_seq_;
-    InsertEnv(std::move(entry));
-    EnvEntry* stored = env_waiting_.Get(env_by_seq_.back());
-    // The event payload names the entry by seq, not by slab handle: the seq
-    // is stable across snapshot adoption (handles are a memory-layout
-    // artifact), so the descriptor serializes and re-mints byte-exactly.
-    stored->event = sim_->ScheduleContinuationAt(
-        stored->at, ContinuationComponentId(kContFamilyReplica, config_.id), kContEnvRejoin,
-        ContinuationPayload::Of(static_cast<int64_t>(stored->seq)));
+    uint64_t seq = ++env_seq_;
+    EnvEntry& entry = InsertEnv(seq, cursor, sim_->Now() + env_latency);
+    entry.event = sim_->ScheduleContinuationAt(
+        entry.at, ContinuationComponentId(kContFamilyReplica, config_.id), kContEnvRejoin,
+        ContinuationPayload::Of(static_cast<int64_t>(seq)));
     return;
   }
-  work.segment_index += 1;
-  work.decoded_in_segment = 0;
-  if (work.finished()) {
-    CompleteTrajectory(std::move(work));
+  cursor.segment_index += 1;
+  cursor.decoded_in_segment = 0;
+  if (cursor.finished(spec)) {
+    CompleteTrajectory(cursor);
   } else {
-    PushRunning(std::move(work));
+    PushRunning(cursor, spec);
   }
 }
 
-void RolloutReplica::RejoinFromEnv(EntityHandle handle) {
+void RolloutReplica::RejoinFromEnv(uint64_t seq) {
   SyncProgress();
-  LAMINAR_CHECK(env_waiting_.Contains(handle)) << "env rejoin with a stale handle";
-  TrajectoryWork work = RemoveEnv(handle);
-  const TrajectorySegment& seg = work.current_segment();
+  TrajectoryCursor cursor = RemoveEnv(seq);
+  const TrajectorySpec& spec = SpecOf(cursor.id);
   // Sandbox output becomes new context: it occupies KV and must be prefilled.
-  work.context_tokens += seg.feedback_tokens;
-  if (work.kv_resident) {
-    kv_used_tokens_ += static_cast<double>(seg.feedback_tokens);
+  int64_t feedback = cursor.current_segment(spec).feedback_tokens;
+  if (cursor.kv_resident) {
+    kv_used_tokens_ += static_cast<double>(feedback);
   }
   pending_stall_seconds_ +=
-      decode_.PrefillLatency(static_cast<double>(seg.feedback_tokens)) / speed_factor_;
-  metrics_.prefill_tokens += seg.feedback_tokens;
-  work.segment_index += 1;
-  work.decoded_in_segment = 0;
-  if (work.finished()) {
-    CompleteTrajectory(std::move(work));
-  } else if (work.kv_resident) {
-    PushRunning(std::move(work));
+      decode_.PrefillLatency(static_cast<double>(feedback)) / speed_factor_;
+  metrics_.prefill_tokens += feedback;
+  cursor.ResolveEnvCall(spec);
+  if (cursor.finished(spec)) {
+    CompleteTrajectory(cursor);
+  } else if (cursor.kv_resident) {
+    PushRunning(cursor, spec);
   } else {
-    waiting_.push_front(std::move(work));
+    waiting_.push_front(cursor);
   }
   if (phase_ == ReplicaPhase::kGenerating) {
     TryAdmit();
@@ -857,20 +838,19 @@ void RolloutReplica::RejoinFromEnv(EntityHandle handle) {
   CheckBatchDone();
 }
 
-void RolloutReplica::CompleteTrajectory(TrajectoryWork work) {
-  if (work.kv_resident) {
-    kv_used_tokens_ -= static_cast<double>(work.context_tokens);
+void RolloutReplica::CompleteTrajectory(const TrajectoryCursor& cursor) {
+  if (cursor.kv_resident) {
+    kv_used_tokens_ -= static_cast<double>(cursor.context_tokens);
   }
-  if (IsServingId(work.record.id)) {
+  if (IsServingId(cursor.id)) {
     --num_serving_;
   }
-  work.record.finished = sim_->Now();
   ++metrics_.completed_trajectories;
   LAMINAR_TRACE_INSTANT(sim_, TraceComponent::kReplica, "replica/traj_complete",
-                        config_.id, work.record.id,
-                        static_cast<double>(work.record.total_tokens()));
+                        config_.id, cursor.id,
+                        static_cast<double>(SpecOf(cursor.id).total_context_tokens()));
   if (on_complete_) {
-    on_complete_(std::move(work.record));
+    on_complete_(cursor.id);
   }
 }
 
@@ -896,9 +876,8 @@ void RolloutReplica::SnapshotState(SnapshotTx& tx) {
   tx.F64("pending_stall_seconds", &pending_stall_seconds_);
   tx.U64As("env_seq", &env_seq_);
   // The three work queues in behavior-defining order: running and waiting in
-  // container order, env-waiting in admission (seq) order. Adoption rebuilds
-  // the env slab; pending rejoin events re-resolve their handles through
-  // RestoreContinuation.
+  // container order, env-waiting in admission (seq) order. Pending rejoin
+  // events re-resolve their entries by seq through RestoreContinuation.
   SnapshotPacked(
       tx, "queues",
       [this](ByteSink& s) {
@@ -907,19 +886,20 @@ void RolloutReplica::SnapshotState(SnapshotTx& tx) {
         for (RunningSeq& seq : running_) {
           if (seq.live) {
             Rebase(seq);
-            PackWork(s, seq.work);
+            PackCursor(s, seq.cursor);
           }
         }
         s.U64(waiting_.size());
-        for (const TrajectoryWork& w : waiting_) {
-          PackWork(s, w);
+        for (const TrajectoryCursor& w : waiting_) {
+          PackCursor(s, w);
         }
-        s.U64(env_waiting_.size());
-        for (EntityHandle h : EnvHandlesInSeqOrder()) {
-          const EnvEntry* e = env_waiting_.Get(h);
-          PackWork(s, e->work);
-          s.Time(e->at);
-          s.U64(e->seq);
+        s.U64(env_live_);
+        for (size_t i = 0; i < env_.size(); ++i) {
+          if (env_[i].live) {
+            PackCursor(s, env_[i].cursor);
+            s.Time(env_[i].at);
+            s.U64(env_base_ + i);
+          }
         }
       },
       [this](ByteSource& s) {
@@ -934,22 +914,22 @@ void RolloutReplica::SnapshotState(SnapshotTx& tx) {
         uint64_t num_running = s.U64();
         running_.reserve(static_cast<size_t>(num_running));
         for (uint64_t i = 0; i < num_running; ++i) {
-          PushRunning(UnpackWork(s));
+          TrajectoryCursor cursor = UnpackCursor(s);
+          PushRunning(cursor, SpecOf(cursor.id));
         }
         waiting_.clear();
         for (uint64_t i = 0, n = s.U64(); i < n; ++i) {
-          waiting_.push_back(UnpackWork(s));
+          waiting_.push_back(UnpackCursor(s));
         }
-        ClearEnv();
-        uint64_t num_env = s.U64();
-        env_waiting_.Reserve(static_cast<size_t>(num_env));
-        for (uint64_t i = 0; i < num_env; ++i) {
-          EnvEntry e;
-          e.work = UnpackWork(s);
-          e.at = s.Time();
-          e.seq = s.U64();
-          LAMINAR_CHECK_LE(e.seq, env_seq_) << "env seq beyond the minted range";
-          InsertEnv(std::move(e));
+        env_.clear();
+        env_head_ = 0;
+        env_live_ = 0;
+        for (uint64_t i = 0, n = s.U64(); i < n; ++i) {
+          TrajectoryCursor cursor = UnpackCursor(s);
+          SimTime at = s.Time();
+          uint64_t seq = s.U64();
+          LAMINAR_CHECK_LE(seq, env_seq_) << "env seq beyond the minted range";
+          InsertEnv(seq, cursor, at);
         }
       });
   // In-flight advance metadata for partial-progress crediting; the event

@@ -18,6 +18,9 @@
 // materialized only where something reads them: completions, env calls,
 // progress callbacks, preemption, extraction, snapshots and the KV audit.
 //
+// The replica holds TrajectoryCursors, never records: it reads each plan
+// through the trajectory store (serving requests through their own).
+//
 // KVCache accounting follows the paper's Figure 9 lifecycle: admissions fill
 // the cache to ~C_max, waiting trajectories backfill freed space, and only
 // when the waiting queue drains does utilization ramp down — the signal the
@@ -30,8 +33,8 @@
 #include <functional>
 #include <vector>
 
-#include "src/common/entity_table.h"
 #include "src/common/stats.h"
+#include "src/data/partial_response_pool.h"
 #include "src/data/trajectory.h"
 #include "src/llm/decode_model.h"
 #include "src/repack/snapshot.h"
@@ -97,15 +100,16 @@ class RolloutReplica : public ContinuationClient {
     kContEnvRejoin = 1,  // env call returns: {a=env seq}
   };
 
-  // Fired when one trajectory finishes generation.
-  using CompletionCallback = std::function<void(TrajectoryRecord record)>;
+  // Fired when one trajectory finishes; the callee takes its record out.
+  using CompletionCallback = std::function<void(TrajId id)>;
   // Fired when the replica drains all assigned work.
   using BatchDoneCallback = std::function<void(RolloutReplica* replica)>;
-  // Streamed in-progress state, for the partial-response pool.
-  using ProgressCallback = std::function<void(const TrajectoryWork& work, int replica_id)>;
+  // Streamed in-progress state, for checkpointing in the store.
+  using ProgressCallback = std::function<void(const TrajectoryCursor& c, int replica_id)>;
 
   RolloutReplica(Simulator* sim, ReplicaConfig config, DecodeModel decode,
-                 double kv_capacity_tokens);
+                 double kv_capacity_tokens, PartialResponsePool* pool,
+                 PartialResponsePool* serving_pool = nullptr);
   ~RolloutReplica() override;
 
   void RunContinuation(uint16_t kind, const ContinuationPayload& p) override;
@@ -121,27 +125,27 @@ class RolloutReplica : public ContinuationClient {
   // replica's current weight version. `kv_transferred` marks repack
   // migrations whose KV pages are copied over RDMA (no recompute); work that
   // lost its cache (failure redirect, preemption elsewhere) re-prefills.
-  void AssignWork(std::vector<TrajectoryWork> works, bool kv_transferred = false);
+  void AssignWork(std::vector<TrajectoryCursor> works, bool kv_transferred = false);
 
   // Online serving admission (DESIGN.md §14): queues serving requests (ids in
   // the kServingIdBase range, single decode segment) at the *front* of the
   // waiting queue, ahead of every queued rollout sequence. Serving work never
   // leaves via ExtractAllWork and is never chosen as a headroom-preemption
   // victim while rollout work remains.
-  void AssignServingWork(std::vector<TrajectoryWork> works);
+  void AssignServingWork(std::vector<TrajectoryCursor> works);
 
   // Evicts rollout sequences from the decode batch (most recent first,
   // skipping serving work) until at least `needed_tokens` of KVCache is free
   // or no rollout sequence remains. Evicted work loses residency (it will
   // re-prefill wherever it lands) and is returned for the manager to park in
   // the partial-response pool — the same recovery path machine loss uses.
-  std::vector<TrajectoryWork> PreemptRolloutForServing(double needed_tokens);
+  std::vector<TrajectoryCursor> PreemptRolloutForServing(double needed_tokens);
 
   // Removes and returns every in-flight trajectory (running, env-waiting and
   // queued), e.g. when this replica is chosen as a repack source. KV
   // residency flags are preserved so the caller can decide transfer vs
   // recompute semantics.
-  std::vector<TrajectoryWork> ExtractAllWork();
+  std::vector<TrajectoryCursor> ExtractAllWork();
 
   // Weights ------------------------------------------------------------------
   int weight_version() const { return weight_version_; }
@@ -175,11 +179,11 @@ class RolloutReplica : public ContinuationClient {
 
   // Faults --------------------------------------------------------------------
   // Machine failure: loses all in-flight work and cache. Returns the work
-  // items that were still queued for admission and therefore never streamed
-  // a checkpoint to the partial-response pool — the caller must decide their
-  // fate explicitly (redirect a pooled copy, or mark them dropped); admitted
-  // work is recovered from the pool as before.
-  std::vector<TrajectoryWork> Kill();
+  // items that were still queued for admission and therefore may never have
+  // streamed a checkpoint — the caller must decide their fate explicitly
+  // (redirect a checkpoint, or mark them dropped); admitted work is
+  // recovered from its checkpoint.
+  std::vector<TrajectoryCursor> Kill();
   void Revive();  // replacement machine initialized
 
   // Gray failure (fail-slow): scales decode and prefill throughput by
@@ -190,10 +194,8 @@ class RolloutReplica : public ContinuationClient {
 
   // Introspection ---------------------------------------------------------------
   ReplicaPhase phase() const { return phase_; }
-  bool busy() const { return running_live_ > 0 || !waiting_.empty() || !env_waiting_.empty(); }
-  int num_reqs() const {
-    return static_cast<int>(running_live_ + waiting_.size() + env_waiting_.size());
-  }
+  bool busy() const { return running_live_ > 0 || !waiting_.empty() || env_live_ > 0; }
+  int num_reqs() const { return static_cast<int>(running_live_ + waiting_.size() + env_live_); }
   // Resident serving requests (subset of num_reqs; 0 when the tier is off).
   int num_serving() const { return num_serving_; }
   double kv_used_tokens() const { return kv_used_tokens_; }
@@ -211,6 +213,8 @@ class RolloutReplica : public ContinuationClient {
   // (O(batch)). The invariant checker's "decode context" check compares them.
   int64_t decode_context_tokens() const { return decode_ctx_total_; }
   int64_t MaterializedDecodeContext() const;
+  // Ids of every held trajectory, for the single-holder audit.
+  void AppendHeldIds(std::vector<TrajId>* ids) const;
   // Shifts the first running sequence's epoch base by `delta` steps, so its
   // materialized counters drift from the incremental total. Tests only.
   void SkewDecodeBaseForTest(int64_t delta);
@@ -218,13 +222,6 @@ class RolloutReplica : public ContinuationClient {
   const ReplicaConfig& config() const { return config_; }
   const DecodeModel& decode_model() const { return decode_; }
   const ReplicaMetrics& metrics() const { return metrics_; }
-  int64_t total_tokens_generated() const {
-    return metrics_.decode_tokens;
-  }
-  // Decode tokens including the in-flight advance's elapsed fraction — a
-  // smooth, read-only counter for windowed throughput probes (the committed
-  // `decode_tokens` metric only moves in advance-sized jumps).
-  int64_t ObservedDecodeTokens() const;
 
   // Decode-only activity sample for the gray-failure probe. All fields are
   // monotone accumulators over time actually spent in decode steps — prefill
@@ -233,7 +230,8 @@ class RolloutReplica : public ContinuationClient {
   //   busy_seconds        Σ steps × actual step latency
   //   request_seconds     Σ steps × actual step latency × batch
   //   ctx_request_seconds request_seconds weighted by the advance's avg ctx
-  //   tokens              decode tokens (== ObservedDecodeTokens())
+  //   tokens              decode tokens, with the in-flight advance's
+  //                       elapsed steps (the committed metric jumps)
   // Observed per-request throughput (tokens / request_seconds) times the
   // modeled step latency at (request_seconds / busy_seconds,
   // ctx_request_seconds / request_seconds) is ~1.0 for a healthy replica and
@@ -265,9 +263,13 @@ class RolloutReplica : public ContinuationClient {
   void Advance(int64_t steps);
   void TryAdmit();
   void PreemptForHeadroom();
-  void FinishSegment(TrajectoryWork work);
-  void RejoinFromEnv(EntityHandle handle);
-  void CompleteTrajectory(TrajectoryWork work);
+  void FinishSegment(TrajectoryCursor cursor);
+  void RejoinFromEnv(uint64_t seq);
+  void CompleteTrajectory(const TrajectoryCursor& cursor);
+  PartialResponsePool& StoreFor(TrajId id) const {
+    return IsServingId(id) ? *serving_pool_ : *pool_;
+  }
+  const TrajectorySpec& SpecOf(TrajId id) const { return StoreFor(id).record(id).spec; }
   void CheckBatchDone();
   void TouchMetrics();
 
@@ -275,6 +277,8 @@ class RolloutReplica : public ContinuationClient {
   ReplicaConfig config_;
   DecodeModel decode_;
   double kv_capacity_tokens_;
+  PartialResponsePool* pool_;
+  PartialResponsePool* serving_pool_;
 
   ReplicaPhase phase_ = ReplicaPhase::kIdle;
   ReplicaPhase pre_update_phase_ = ReplicaPhase::kIdle;
@@ -286,35 +290,35 @@ class RolloutReplica : public ContinuationClient {
   // the model latency divided by this.
   double speed_factor_ = 1.0;
 
-  // One trajectory blocked on a sandbox/env call. Entries live in a
-  // generation-tagged slab; the pending rejoin event names its entry by
-  // `seq` — the stable admission-order key that survives snapshot adoption
-  // (slab handles are a memory-layout artifact and do not). `seq` also
-  // orders the rare drain paths (ExtractAllWork, Kill) whose processing
-  // order must match the old insertion-ordered list.
+  // One trajectory blocked on a sandbox/env call. The pending rejoin event
+  // names its entry by seq, the admission-order key that survives snapshot
+  // adoption. env_ holds the entries by seq (env_[i] is seq env_base_ + i);
+  // an entry whose call returned stays as a tombstone, env_head_ skips the
+  // returned prefix, and the prefix is erased once it is half the vector.
+  // Walking env_ visits the live entries in seq order, the order the drain
+  // paths (ExtractAllWork, Kill) use.
   struct EnvEntry {
-    TrajectoryWork work;
+    TrajectoryCursor cursor;
     EventId event = kInvalidEventId;
     SimTime at;
-    uint64_t seq = 0;
+    bool live = false;
   };
+  // The live entry for `seq` (CHECKs on a miss).
+  EnvEntry& EnvAt(uint64_t seq);
+  // Appends the entry for `seq`, which must be past every seq held.
+  EnvEntry& InsertEnv(uint64_t seq, const TrajectoryCursor& cursor, SimTime at);
+  TrajectoryCursor RemoveEnv(uint64_t seq);
 
-  // Live env entries in seq order — the old insertion order.
-  std::vector<EntityHandle> EnvHandlesInSeqOrder() const;
-  // Resolves a rejoin payload's seq to the live slab handle (CHECKs on miss).
-  EntityHandle FindEnvBySeq(uint64_t seq) const;
-  void InsertEnv(EnvEntry entry);
-  TrajectoryWork RemoveEnv(EntityHandle handle);
-  void ClearEnv();
-
-  // One sequence of the decode batch. `work`'s counters are current as of
+  // One sequence of the decode batch. `cursor`'s counters are current as of
   // decode epoch `base`: the true context_tokens and decoded_in_segment add
-  // decode_epoch_ - base. `stamp` is assigned on every push into the batch,
-  // so running_ is sorted by it. Removed sequences stay as tombstones
-  // (live == false) until compaction, except at the tail, which is trimmed.
+  // decode_epoch_ - base; it finishes its segment at epoch `boundary`.
+  // `stamp` is assigned on every push into the batch, so running_ is sorted
+  // by it. Removed sequences stay as tombstones (live == false) until
+  // compaction, except at the tail, which is trimmed.
   struct RunningSeq {
-    TrajectoryWork work;
+    TrajectoryCursor cursor;
     int64_t base = 0;
+    int64_t boundary = 0;
     uint64_t stamp = 0;
     bool live = false;
   };
@@ -334,8 +338,8 @@ class RolloutReplica : public ContinuationClient {
   // Decode-epoch batch primitives (DESIGN.md §11). PushRunning appends at
   // the batch tail with a fresh stamp; TakeRunning materializes and removes
   // one sequence, leaving a tombstone unless it was the tail.
-  void PushRunning(TrajectoryWork work);
-  TrajectoryWork TakeRunning(size_t index);
+  void PushRunning(const TrajectoryCursor& cursor, const TrajectorySpec& spec);
+  TrajectoryCursor TakeRunning(size_t index);
   // Brings `seq`'s counters current to decode_epoch_.
   void Rebase(RunningSeq& seq) const;
   // Epoch of the earliest segment boundary in the batch (prunes stale heap
@@ -358,18 +362,12 @@ class RolloutReplica : public ContinuationClient {
   // Σ materialized context_tokens over the live batch.
   int64_t decode_ctx_total_ = 0;
   std::vector<BoundaryKey> boundary_heap_;
-  std::deque<TrajectoryWork> waiting_;
-  EntityTable<EnvEntry> env_waiting_;
-  uint64_t env_seq_ = 0;
-  // seq -> slab handle: env_by_seq_[env_head_ + i] holds seq
-  // env_seq_front_ + i. Entries whose call already returned hold the invalid
-  // handle; the front advances to the oldest live seq, and the consumed
-  // prefix is erased once it is half the vector. Seqs are minted in
-  // increasing order, so inserts only append; an empty index re-anchors at
-  // the next insert.
-  std::vector<EntityHandle> env_by_seq_;
-  size_t env_head_ = 0;
-  uint64_t env_seq_front_ = 0;
+  std::deque<TrajectoryCursor> waiting_;
+  std::vector<EnvEntry> env_;
+  uint64_t env_base_ = 0;  // seq of env_[0]
+  size_t env_head_ = 0;    // first live entry, if any
+  size_t env_live_ = 0;
+  uint64_t env_seq_ = 0;   // last seq minted
   // Serving requests currently resident (running_ + waiting_) and the
   // lifetime assignment count (gates the snapshot fields so serving-off blobs
   // keep their historical layout).
@@ -377,7 +375,7 @@ class RolloutReplica : public ContinuationClient {
   int64_t serving_assigned_total_ = 0;
   // Reused by Advance() for the segment-boundary partition (no steady-state
   // allocation in the hot loop).
-  std::vector<TrajectoryWork> boundary_scratch_;
+  std::vector<TrajectoryCursor> boundary_scratch_;
 
   double kv_used_tokens_ = 0.0;
   // Prefill/KV-transfer work that must complete before decoding resumes;

@@ -53,9 +53,11 @@ inline constexpr char kSnapshotMagic[8] = {'L', 'M', 'S', 'N', 'A', 'P', '1', '\
 // reconstructible continuation descriptors (event_heap section) and every
 // component serializes adoptable state, so a restore boots directly from
 // the blob. v3 writes the partial-response pool's entries in ascending
-// TrajId; v4 writes the rollout manager's counters as named records. The
-// reader accepts exactly this version; any other stops at parse.
-inline constexpr uint32_t kSnapshotVersion = 4;
+// TrajId; v4 writes the rollout manager's counters as named records; v5
+// writes each in-flight record once, in the trajectory store, and cursors
+// everywhere else. The reader accepts exactly this version; any other stops
+// at parse.
+inline constexpr uint32_t kSnapshotVersion = 5;
 
 // Record kinds in the LMSNAP1 stream.
 enum class SnapshotRecordKind : uint8_t {

@@ -211,22 +211,22 @@ inline TrajectoryRecord UnpackRecord(ByteSource& s) {
   return r;
 }
 
-inline void PackWork(ByteSink& s, const TrajectoryWork& w) {
-  PackRecord(s, w.record);
-  s.I32(w.segment_index);
-  s.I64(w.decoded_in_segment);
-  s.I64(w.context_tokens);
-  s.Bool(w.kv_resident);
+inline void PackCursor(ByteSink& s, const TrajectoryCursor& c) {
+  s.I64(c.id);
+  s.I32(c.segment_index);
+  s.I64(c.decoded_in_segment);
+  s.I64(c.context_tokens);
+  s.Bool(c.kv_resident);
 }
 
-inline TrajectoryWork UnpackWork(ByteSource& s) {
-  TrajectoryWork w;
-  w.record = UnpackRecord(s);
-  w.segment_index = s.I32();
-  w.decoded_in_segment = s.I64();
-  w.context_tokens = s.I64();
-  w.kv_resident = s.Bool();
-  return w;
+inline TrajectoryCursor UnpackCursor(ByteSource& s) {
+  TrajectoryCursor c;
+  c.id = s.I64();
+  c.segment_index = s.I32();
+  c.decoded_in_segment = s.I64();
+  c.context_tokens = s.I64();
+  c.kv_resident = s.Bool();
+  return c;
 }
 
 }  // namespace laminar

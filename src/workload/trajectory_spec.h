@@ -6,13 +6,15 @@
 // results are appended to the context as feedback tokens (which must be
 // prefilled, not decoded).
 //
-// The segment list is immutable once a trajectory enters the pipeline, yet a
-// record is copied many times on its way through it (replica -> partial pool
-// -> experience buffer -> trainer batch). Segments therefore live in a
-// shared refcounted store: copying a spec bumps a refcount instead of
-// cloning the vector, so pipeline hand-off never allocates (DESIGN.md §11).
-// The mutators below are copy-on-write for the builders (workload generator,
-// tests) that shape a spec before or after it is wrapped in a record.
+// The segment list is immutable once a trajectory enters the pipeline. In
+// the pipeline a record is moved, never copied: it lives in the trajectory
+// store until completion, then moves to the experience buffer and a
+// trainer batch, while in-flight work passes cursors that read the plan
+// through the store (DESIGN.md §11). Segments still live in a shared
+// refcounted store, so the copies that remain (builders, tests) bump a
+// refcount instead of cloning the vector. The mutators below are
+// copy-on-write for the builders (workload generator, tests) that shape a
+// spec before or after it is wrapped in a record.
 #ifndef LAMINAR_SRC_WORKLOAD_TRAJECTORY_SPEC_H_
 #define LAMINAR_SRC_WORKLOAD_TRAJECTORY_SPEC_H_
 

@@ -15,6 +15,7 @@
 #include "src/core/run.h"
 #include "src/exp/sweep.h"
 #include "src/fault/invariants.h"
+#include "src/llm/model_spec.h"
 
 namespace laminar {
 namespace {
@@ -164,6 +165,53 @@ TEST(ChaosTest, ScriptedDrillIsAStrictSupersetPath) {
     return ChaosFingerprint(rep);
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// The single-holder audit: every live store entry is held by exactly one
+// cursor. A cursor handed to two replicas (two holders) and a record issued
+// to nobody (a leak) are each reported by name.
+TEST(ChaosTest, SingleHolderAuditNamesDuplicateAndLeakedCursors) {
+  Simulator sim;
+  PartialResponsePool store;
+  DecodeModel decode(Qwen25_7B(), MachineSpec{}, 1);
+  ReplicaConfig rc;
+  RolloutReplica a(&sim, rc, decode, decode.KvCapacityTokens(), &store);
+  rc.id = 1;
+  RolloutReplica b(&sim, rc, decode, decode.KvCapacityTokens(), &store);
+  InvariantChecker checker(&sim, InvariantCheckerConfig{});
+  checker.set_pool(&store);
+  checker.AddReplica(&a);
+  checker.AddReplica(&b);
+  auto issue = [&store](TrajId id) {
+    TrajectoryRecord rec;
+    rec.id = id;
+    rec.spec.prompt_tokens = 64;
+    rec.spec.AppendSegment({4096, 0.0, 0});
+    return store.Issue(std::move(rec));
+  };
+  auto reported = [&checker](const std::string& what) {
+    for (const std::string& v : checker.violations()) {
+      if (v.find(what) != std::string::npos) {
+        return true;
+      }
+    }
+    return false;
+  };
+  TrajectoryCursor shared = issue(0);
+  a.AssignWork({shared, issue(1)});
+  b.AssignWork({issue(2)});
+  sim.RunUntil(SimTime(1.0));
+  checker.CheckSweep();
+  ASSERT_TRUE(checker.ok()) << checker.violations().front();
+
+  b.AssignWork({shared});  // a second holder of trajectory 0
+  checker.CheckSweep();
+  EXPECT_TRUE(reported("single-holder violation: trajectory 0 has 2 holders"));
+  EXPECT_EQ(checker.violation_count(), 1);
+
+  issue(3);  // issued, never handed to anyone
+  checker.CheckSweep();
+  EXPECT_TRUE(reported("single-holder violation: trajectory store has 4 live entries but 3 held"));
 }
 
 }  // namespace

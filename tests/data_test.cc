@@ -42,18 +42,26 @@ TEST(TrajectoryRecordTest, StalenessAndMixedVersionAccessors) {
   EXPECT_EQ(r.latest_version(), 5);
 }
 
-TEST(TrajectoryWorkTest, ProgressAccessors) {
-  TrajectoryWork w;
-  w.record = Rec(1, 0);
-  w.record.spec.AppendSegment({50, 0.0, 0});
-  w.InitContext();
-  EXPECT_EQ(w.context_tokens, 10);
-  EXPECT_EQ(w.remaining_decode_tokens(), 150);
-  w.decoded_in_segment = 40;
-  EXPECT_EQ(w.remaining_in_segment(), 60);
-  EXPECT_EQ(w.remaining_decode_tokens(), 110);
-  w.segment_index = 2;
-  EXPECT_TRUE(w.finished());
+TEST(TrajectoryCursorTest, ProgressAccessors) {
+  TrajectoryRecord r = Rec(1, 0);
+  r.spec.ClearSegments();
+  r.spec.AppendSegment({100, 1.0, 30});
+  r.spec.AppendSegment({50, 0.0, 0});
+  r.spec.AppendSegment({20, 0.0, 0});
+  TrajectoryCursor c = TrajectoryCursor::Start(r);
+  EXPECT_EQ(c.id, 1);
+  EXPECT_EQ(c.context_tokens, 10);
+  EXPECT_EQ(c.remaining_in_segment(r.spec), 100);
+  c.decoded_in_segment = 40;
+  EXPECT_EQ(c.remaining_in_segment(r.spec), 60);
+  // Resolving a sandbox call appends the segment's feedback and moves on.
+  c.ResolveEnvCall(r.spec);
+  EXPECT_EQ(c.segment_index, 1);
+  EXPECT_EQ(c.decoded_in_segment, 0);
+  EXPECT_EQ(c.context_tokens, 10 + 30);
+  EXPECT_EQ(c.current_segment(r.spec).decode_tokens, 50);
+  c.segment_index = 3;
+  EXPECT_TRUE(c.finished(r.spec));
 }
 
 TEST(PromptPoolTest, GroupsShareDifficultyAndPromptId) {
@@ -179,39 +187,41 @@ TEST(ExperienceBufferTest, CountsTokens) {
 
 TEST(PartialResponsePoolTest, UpdateRemoveAndTakeByReplica) {
   PartialResponsePool pool;
-  TrajectoryWork w1;
-  w1.record = Rec(1, 0);
-  w1.InitContext();
+  TrajectoryCursor w1 = pool.Issue(Rec(1, 0));
   w1.context_tokens = 500;
   w1.kv_resident = true;
-  TrajectoryWork w2;
-  w2.record = Rec(2, 0);
-  w2.InitContext();
+  TrajectoryCursor w2 = pool.Issue(Rec(2, 0));
+  EXPECT_EQ(pool.size(), 2u);
+  EXPECT_FALSE(pool.Checkpointed(1));
   pool.Update(w1, /*owner=*/3);
   pool.Update(w2, /*owner=*/4);
-  EXPECT_EQ(pool.size(), 2u);
+  EXPECT_TRUE(pool.Checkpointed(1));
   EXPECT_EQ(pool.total_context_tokens(), 510);
 
   auto lost = pool.TakeByReplica(3);
   ASSERT_EQ(lost.size(), 1u);
-  EXPECT_EQ(lost[0].record.id, 1);
+  EXPECT_EQ(lost[0].id, 1);
+  EXPECT_EQ(lost[0].context_tokens, 500);
   // The cache died with the machine.
   EXPECT_FALSE(lost[0].kv_resident);
-  EXPECT_EQ(pool.size(), 1u);
+  // The record stays in the store; only its checkpoint was taken.
+  EXPECT_EQ(pool.size(), 2u);
+  EXPECT_TRUE(pool.Contains(1));
+  EXPECT_FALSE(pool.Checkpointed(1));
 
-  EXPECT_TRUE(pool.Contains(2));
-  EXPECT_TRUE(pool.MarkCompleted(2));
+  TrajectoryRecord out;
+  EXPECT_TRUE(pool.MarkCompleted(2, &out));
+  EXPECT_EQ(out.id, 2);
+  EXPECT_EQ(out.spec.prompt_tokens, 10);
   EXPECT_FALSE(pool.Contains(2));
   EXPECT_FALSE(pool.MarkCompleted(2));
   EXPECT_EQ(pool.duplicate_completions(), 1);
-  EXPECT_EQ(pool.size(), 0u);
+  EXPECT_EQ(pool.size(), 1u);
 }
 
 TEST(PartialResponsePoolTest, UpdateOverwritesProgress) {
   PartialResponsePool pool;
-  TrajectoryWork w;
-  w.record = Rec(1, 0);
-  w.InitContext();
+  TrajectoryCursor w = pool.Issue(Rec(1, 0));
   pool.Update(w, 0);
   w.decoded_in_segment = 42;
   pool.Update(w, 0);
@@ -221,19 +231,30 @@ TEST(PartialResponsePoolTest, UpdateOverwritesProgress) {
   EXPECT_EQ(pool.updates(), 2);
 }
 
+// Recovery returns the checkpointed view of the record too: versions the
+// live holder appended after its last checkpoint are truncated away.
+TEST(PartialResponsePoolTest, TakeByReplicaTruncatesVersionsToTheCheckpoint) {
+  PartialResponsePool pool;
+  TrajectoryCursor w = pool.Issue(Rec(1, 3));
+  pool.Update(w, 0);
+  pool.record(1).weight_versions.push_back(4);
+  ASSERT_EQ(pool.TakeByReplica(0).size(), 1u);
+  EXPECT_EQ(pool.record(1).weight_versions, std::vector<int>({3}));
+}
+
 TEST(PartialResponsePoolTest, RemoveOfMissingIdStillTombstones) {
   PartialResponsePool pool;
-  // A trajectory that finished without ever checkpointing has no live entry,
-  // but its completion must still enter the terminal ledger.
-  EXPECT_FALSE(pool.Contains(7));
+  // A trajectory that finished without ever checkpointing has no saved
+  // progress, but its completion must still enter the terminal ledger.
+  pool.Issue(Rec(7, 0));
+  EXPECT_FALSE(pool.Checkpointed(7));
   EXPECT_TRUE(pool.MarkCompleted(7));
   EXPECT_TRUE(pool.IsTerminal(7));
+  EXPECT_FALSE(pool.Contains(7));
   EXPECT_EQ(pool.completed(), 1);
   // ...so a late Update from a stale owner cannot resurrect it.
-  TrajectoryWork w;
-  w.record = Rec(7, 0);
-  w.InitContext();
-  EXPECT_FALSE(pool.Update(w, /*owner=*/0));
+  TrajectoryCursor stale = TrajectoryCursor::Start(Rec(7, 0));
+  EXPECT_FALSE(pool.Update(stale, /*owner=*/0));
   EXPECT_EQ(pool.size(), 0u);
   EXPECT_EQ(pool.stale_updates(), 1);
 }
@@ -246,14 +267,16 @@ TEST(PartialResponsePoolTest, RemoveOfMissingIdStillTombstones) {
 // replica's progress check. The restore must resolve the env interaction the
 // same way ExtractAllWork does: append the feedback, advance the segment.
 TEST(PartialResponsePoolTest, RestoreResolvesEnvBoundaryCheckpoint) {
+  auto two_turns = [](TrajId id) {
+    TrajectoryRecord r = Rec(id, 0);
+    r.spec.prompt_tokens = 10;
+    r.spec.ClearSegments();
+    r.spec.AppendSegment({/*decode=*/100, /*env_latency=*/3.0, /*feedback=*/64});
+    r.spec.AppendSegment({/*decode=*/50, 0.0, 0});
+    return r;
+  };
   PartialResponsePool pool;
-  TrajectoryWork w;
-  w.record = Rec(1, 0);
-  w.record.spec.prompt_tokens = 10;
-  w.record.spec.ClearSegments();
-  w.record.spec.AppendSegment({/*decode=*/100, /*env_latency=*/3.0, /*feedback=*/64});
-  w.record.spec.AppendSegment({/*decode=*/50, 0.0, 0});
-  w.InitContext();
+  TrajectoryCursor w = pool.Issue(two_turns(1));
   w.context_tokens = 110;     // prompt + the fully decoded first segment
   w.decoded_in_segment = 100; // at the env boundary: remaining_in_segment() == 0
   w.kv_resident = true;
@@ -263,19 +286,13 @@ TEST(PartialResponsePoolTest, RestoreResolvesEnvBoundaryCheckpoint) {
   ASSERT_EQ(restored.size(), 1u);
   EXPECT_EQ(restored[0].segment_index, 1);
   EXPECT_EQ(restored[0].decoded_in_segment, 0);
-  EXPECT_EQ(restored[0].remaining_in_segment(), 50);
+  EXPECT_EQ(restored[0].remaining_in_segment(pool.record(1).spec), 50);
   // Sandbox output joined the context and must be re-prefilled with the rest.
   EXPECT_EQ(restored[0].context_tokens, 110 + 64);
   EXPECT_FALSE(restored[0].kv_resident);
 
   // A mid-segment checkpoint is restored untouched.
-  TrajectoryWork mid;
-  mid.record = Rec(2, 0);
-  mid.record.spec.prompt_tokens = 10;
-  mid.record.spec.ClearSegments();
-  mid.record.spec.AppendSegment({100, 3.0, 64});
-  mid.record.spec.AppendSegment({50, 0.0, 0});
-  mid.InitContext();
+  TrajectoryCursor mid = pool.Issue(two_turns(2));
   mid.context_tokens = 40;
   mid.decoded_in_segment = 30;
   pool.Update(mid, /*owner=*/0);
@@ -289,22 +306,16 @@ TEST(PartialResponsePoolTest, RestoreResolvesEnvBoundaryCheckpoint) {
 TEST(PartialResponsePoolTest, TakeByReplicaWithNoMatchingEntries) {
   PartialResponsePool pool;
   EXPECT_TRUE(pool.TakeByReplica(3).empty());
-  TrajectoryWork w;
-  w.record = Rec(1, 0);
-  w.InitContext();
-  pool.Update(w, /*owner=*/2);
-  // The wrong owner's take leaves other replicas' entries untouched.
+  pool.Update(pool.Issue(Rec(1, 0)), /*owner=*/2);
+  // The wrong owner's take leaves other replicas' checkpoints untouched.
   EXPECT_TRUE(pool.TakeByReplica(3).empty());
   EXPECT_EQ(pool.size(), 1u);
-  EXPECT_TRUE(pool.Contains(1));
+  EXPECT_TRUE(pool.Checkpointed(1));
 }
 
 TEST(PartialResponsePoolTest, ReUpdateByNewOwnerMovesOwnership) {
   PartialResponsePool pool;
-  TrajectoryWork w;
-  w.record = Rec(1, 0);
-  w.InitContext();
-  pool.Update(w, /*owner=*/1);
+  pool.Update(pool.Issue(Rec(1, 0)), /*owner=*/1);
 
   // Migration: the manager takes the work off the failed owner and the new
   // host checkpoints it under its own id.
@@ -317,16 +328,14 @@ TEST(PartialResponsePoolTest, ReUpdateByNewOwnerMovesOwnership) {
   EXPECT_TRUE(pool.TakeByReplica(1).empty());
   auto moved = pool.TakeByReplica(2);
   ASSERT_EQ(moved.size(), 1u);
-  EXPECT_EQ(moved[0].record.id, 1);
+  EXPECT_EQ(moved[0].id, 1);
   EXPECT_EQ(moved[0].decoded_in_segment, 17);
 }
 
 TEST(PartialResponsePoolTest, TerminalLedgerSuppressesDuplicates) {
   PartialResponsePool pool;
-  TrajectoryWork w;
-  w.record = Rec(1, 0);
-  w.InitContext();
-  pool.Update(w, 0);
+  pool.Update(pool.Issue(Rec(1, 0)), 0);
+  pool.Issue(Rec(2, 0));
 
   EXPECT_TRUE(pool.MarkCompleted(1));
   // Duplicate completion (e.g. a drained replica racing its migrated clone).
@@ -339,18 +348,18 @@ TEST(PartialResponsePoolTest, TerminalLedgerSuppressesDuplicates) {
 
   // Drop-first ordering works the same way.
   EXPECT_TRUE(pool.MarkDropped(2));
+  EXPECT_FALSE(pool.Contains(2));
   EXPECT_FALSE(pool.MarkCompleted(2));
   EXPECT_EQ(pool.dropped(), 1);
   EXPECT_EQ(pool.completed(), 1);
   EXPECT_TRUE(pool.IsTerminal(2));
+  EXPECT_EQ(pool.size(), 0u);
 }
 
 TEST(PartialResponsePoolTest, ContextTokenTotalsTrackTakesAndCompletions) {
   PartialResponsePool pool;
   auto add = [&](TrajId id, int64_t tokens, int owner) {
-    TrajectoryWork w;
-    w.record = Rec(id, 0);
-    w.InitContext();
+    TrajectoryCursor w = pool.Issue(Rec(id, 0));
     w.context_tokens = tokens;
     pool.Update(w, owner);
   };
@@ -360,7 +369,7 @@ TEST(PartialResponsePoolTest, ContextTokenTotalsTrackTakesAndCompletions) {
   EXPECT_EQ(pool.total_context_tokens(), 1000);
 
   int64_t taken_tokens = 0;
-  for (const TrajectoryWork& w : pool.TakeByReplica(1)) {
+  for (const TrajectoryCursor& w : pool.TakeByReplica(1)) {
     taken_tokens += w.context_tokens;
   }
   EXPECT_EQ(taken_tokens, 800);
@@ -368,7 +377,7 @@ TEST(PartialResponsePoolTest, ContextTokenTotalsTrackTakesAndCompletions) {
 
   pool.MarkCompleted(3);
   EXPECT_EQ(pool.total_context_tokens(), 0);
-  EXPECT_EQ(pool.size(), 0u);
+  EXPECT_EQ(pool.size(), 2u);  // 1 and 2 are still in flight, uncheckpointed
 }
 
 // ---------------------------------------------------------------------------
@@ -400,9 +409,11 @@ void UpdateScrambled(PartialResponsePool& pool, TrajId first, TrajId last, uint6
   }
   std::shuffle(ids.begin(), ids.end(), std::mt19937_64(seed));
   for (size_t i = 0; i < ids.size(); ++i) {
-    TrajectoryWork w;
-    w.record = Rec(ids[i], 0);
-    w.InitContext();
+    // Ids from an earlier call are re-checkpointed; terminal ones go stale.
+    if (!pool.Contains(ids[i]) && !pool.IsTerminal(ids[i])) {
+      pool.Issue(Rec(ids[i], 0));
+    }
+    TrajectoryCursor w = TrajectoryCursor::Start(Rec(ids[i], 0));
     w.context_tokens += ids[i];
     pool.Update(w, static_cast<int>(ids[i] % 3));
     if (i % 7 == 3) {
@@ -416,9 +427,9 @@ void UpdateScrambled(PartialResponsePool& pool, TrajId first, TrajId last, uint6
 
 std::vector<TrajId> TakeIds(PartialResponsePool& pool, int replica) {
   std::vector<TrajId> ids;
-  for (const TrajectoryWork& w : pool.TakeByReplica(replica)) {
-    EXPECT_EQ(w.context_tokens, w.record.spec.prompt_tokens + w.record.id);
-    ids.push_back(w.record.id);
+  for (const TrajectoryCursor& w : pool.TakeByReplica(replica)) {
+    EXPECT_EQ(w.context_tokens, pool.record(w.id).spec.prompt_tokens + w.id);
+    ids.push_back(w.id);
   }
   return ids;
 }
@@ -446,12 +457,13 @@ TEST(PartialResponsePoolTest, TakeByReplicaIsAscendingIdAndSurvivesAdopt) {
     taken += ids.size();
   }
   EXPECT_GT(taken, 100u);
-  EXPECT_EQ(pool.size(), 0u);
-  EXPECT_EQ(adopted.size(), 0u);
+  EXPECT_EQ(pool.size(), adopted.size());
+  EXPECT_EQ(pool.total_context_tokens(), 0);
+  EXPECT_EQ(adopted.total_context_tokens(), 0);
 }
 
-// A hand-built partial_pool section listing `ids` (owner 0) in the given
-// order, with `terminal` marked in the tombstone bitmap.
+// A hand-built partial_pool section listing `ids` (checkpointed by owner 0)
+// in the given order, with `terminal` marked in the tombstone bitmap.
 std::string PoolBlob(const std::vector<TrajId>& ids, const std::vector<TrajId>& terminal) {
   SnapshotWriter w;
   w.BeginSection("partial_pool");
@@ -470,12 +482,12 @@ std::string PoolBlob(const std::vector<TrajId>& ids, const std::vector<TrajId>& 
   ByteSink entries;
   entries.U64(ids.size());
   for (TrajId id : ids) {
-    TrajectoryWork work;
-    work.record = Rec(id, 0);
-    work.InitContext();
-    entries.I64(id);
+    TrajectoryRecord rec = Rec(id, 0);
+    PackRecord(entries, rec);
+    entries.Bool(true);
     entries.I32(0);
-    PackWork(entries, work);
+    entries.U64(rec.weight_versions.size());
+    PackCursor(entries, TrajectoryCursor::Start(rec));
   }
   w.Bytes("entries", entries.Take());
   w.U64("size", ids.size());
@@ -487,8 +499,8 @@ std::string PoolBlob(const std::vector<TrajId>& ids, const std::vector<TrajId>& 
 TEST(PartialResponsePoolTest, AdoptRejectsMalformedEntries) {
   PartialResponsePool ok;
   EXPECT_TRUE(AdoptPool(PoolBlob({3, 5}, {4}), ok).empty());
-  EXPECT_TRUE(ok.Contains(3));
-  EXPECT_TRUE(ok.Contains(5));
+  EXPECT_TRUE(ok.Checkpointed(3));
+  EXPECT_TRUE(ok.Checkpointed(5));
   EXPECT_TRUE(ok.IsTerminal(4));
 
   PartialResponsePool descending;
@@ -497,6 +509,8 @@ TEST(PartialResponsePoolTest, AdoptRejectsMalformedEntries) {
   EXPECT_DEATH(AdoptPool(PoolBlob({3, 3}, {}), repeated), "strictly ascending");
   PartialResponsePool tombstoned;
   EXPECT_DEATH(AdoptPool(PoolBlob({3, 5}, {5}), tombstoned), "entry 5 is terminal");
+  PartialResponsePool serving;
+  EXPECT_DEATH(AdoptPool(PoolBlob({kServingIdBase + 3}, {}), serving), "out of range");
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Unit coverage for the generation-tagged slab (DESIGN.md §11): handle
-// validity, stale-generation rejection, free-list slot reuse, and iteration
-// stability under interleaved insert/remove.
+// validity, stale-generation rejection, free-list slot reuse, chunked
+// growth, and iteration stability under interleaved insert/remove.
 #include "src/common/entity_table.h"
 
 #include <gtest/gtest.h>
@@ -23,6 +23,32 @@ TEST(EntityTableTest, InsertGetRemoveRoundTrip) {
   *table.Get(h) = 42;
   EXPECT_EQ(table.Remove(h), 42);
   EXPECT_TRUE(table.empty());
+}
+
+// Slots live in fixed-size chunks that never move: growing the table past
+// many chunk boundaries leaves earlier entities where they were, and
+// iteration still visits every live slot in slot order.
+TEST(EntityTableTest, GrowthAcrossChunksKeepsEntitiesInPlace) {
+  EntityTable<int> table;
+  EntityHandle first = table.Insert(0);
+  const int* first_addr = table.Get(first);
+  std::vector<EntityHandle> handles = {first};
+  for (int i = 1; i < 300; ++i) {
+    handles.push_back(table.Insert(i));
+  }
+  EXPECT_EQ(table.Get(first), first_addr);
+  for (int i = 0; i < 300; i += 3) {
+    EXPECT_EQ(table.Remove(handles[static_cast<size_t>(i)]), i);
+  }
+  std::vector<int> seen;
+  table.ForEach([&seen](EntityHandle h, int& v) {
+    EXPECT_EQ(h.slot(), static_cast<uint32_t>(v));
+    seen.push_back(v);
+  });
+  EXPECT_EQ(seen.size(), 200u);
+  EXPECT_EQ(seen.front(), 1);
+  EXPECT_EQ(seen.back(), 299);
+  EXPECT_EQ(*table.Get(handles[130]), 130);
 }
 
 TEST(EntityTableTest, ZeroHandleIsInvalid) {

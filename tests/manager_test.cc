@@ -21,8 +21,8 @@ class ManagerTest : public ::testing::Test {
       rc.id = i;
       rc.machine = i / 2;  // two replicas per machine
       rc.max_concurrency = 256;
-      replicas_.push_back(
-          std::make_unique<RolloutReplica>(&sim_, rc, decode, decode.KvCapacityTokens()));
+      replicas_.push_back(std::make_unique<RolloutReplica>(
+          &sim_, rc, decode, decode.KvCapacityTokens(), &partial_pool_, &serving_pool_));
       ptrs_.push_back(replicas_.back().get());
     }
     RelayTierConfig relay_cfg;
@@ -35,19 +35,21 @@ class ManagerTest : public ::testing::Test {
 
   RolloutManager MakeManager(RolloutManagerConfig cfg, int per_replica_batch = 64) {
     cfg.per_replica_batch = per_replica_batch;
-    return RolloutManager(&sim_, cfg, ptrs_, relays_.get(), pool_.get(), &partial_pool_);
+    return RolloutManager(&sim_, cfg, ptrs_, relays_.get(), pool_.get(), &partial_pool_,
+                          &serving_pool_);
   }
 
   void WireCompletions(RolloutManager* manager) {
     for (RolloutReplica* r : ptrs_) {
       // As DriverBase::WireCompletion: serving work is never checkpointed.
-      r->set_on_progress([this](const TrajectoryWork& w, int id) {
-        if (!IsServingId(w.record.id)) {
+      r->set_on_progress([this](const TrajectoryCursor& w, int id) {
+        if (!IsServingId(w.id)) {
           partial_pool_.Update(w, id);
         }
       });
-      r->set_on_complete([this](TrajectoryRecord rec) {
-        partial_pool_.MarkCompleted(rec.id);
+      r->set_on_complete([this](TrajId id) {
+        TrajectoryRecord rec;
+        partial_pool_.MarkCompleted(id, &rec);
         buffer_.Push(std::move(rec));
       });
       r->set_on_batch_done([manager](RolloutReplica* rep) { manager->OnBatchDone(rep); });
@@ -55,11 +57,12 @@ class ManagerTest : public ::testing::Test {
   }
 
   Simulator sim_;
+  PartialResponsePool partial_pool_;
+  PartialResponsePool serving_pool_{kServingIdBase};
   std::vector<std::unique_ptr<RolloutReplica>> replicas_;
   std::vector<RolloutReplica*> ptrs_;
   std::unique_ptr<RelayTier> relays_;
   std::unique_ptr<PromptPool> pool_;
-  PartialResponsePool partial_pool_;
   ExperienceBuffer buffer_;
 };
 
@@ -225,12 +228,14 @@ TEST_F(ManagerTest, ServingDeadlineOnSweepBoundaryIsNotLoadShed) {
   cfg.serving_dedicated_replicas = 1;  // replica 0 is the only serving host
   RolloutManager manager = MakeManager(cfg);
   WireCompletions(&manager);
-  ptrs_[0]->set_on_complete([&manager, this](TrajectoryRecord rec) {
-    if (IsServingId(rec.id)) {
-      manager.OnServingComplete(rec);
+  ptrs_[0]->set_on_complete([&manager, this](TrajId id) {
+    if (IsServingId(id)) {
+      serving_pool_.MarkCompleted(id);
+      manager.OnServingComplete(id);
       return;
     }
-    partial_pool_.MarkCompleted(rec.id);
+    TrajectoryRecord rec;
+    partial_pool_.MarkCompleted(id, &rec);
     buffer_.Push(std::move(rec));
   });
   manager.Start();

@@ -8,6 +8,7 @@
 #include "src/cluster/hardware.h"
 #include "src/core/run.h"
 #include "src/data/experience_buffer.h"
+#include "src/data/partial_response_pool.h"
 #include "src/data/prompt_pool.h"
 #include "src/llm/decode_model.h"
 #include "src/llm/model_spec.h"
@@ -31,26 +32,26 @@ TEST_P(ReplicaConservationTest, DecodedTokensMatchSpecsExactly) {
   DecodeModel decode(Qwen25_7B(), MachineSpec{}, 1);
   ReplicaConfig rc;
   rc.max_concurrency = static_cast<int>(rng.UniformInt(16, 512));
-  RolloutReplica replica(&sim, rc, decode, decode.KvCapacityTokens());
+  PartialResponsePool store;
+  RolloutReplica replica(&sim, rc, decode, decode.KvCapacityTokens(), &store);
 
   int64_t expected_decode = 0;
   int64_t expected_context = 0;
   std::set<TrajId> expected_ids;
-  std::vector<TrajectoryWork> works;
+  std::vector<TrajectoryCursor> works;
   int batch = static_cast<int>(rng.UniformInt(2, 20)) * 16;
   for (auto& rec : pool.NextBatch(batch, 0)) {
     expected_decode += rec.spec.total_decode_tokens();
     expected_context += rec.spec.total_context_tokens();
     expected_ids.insert(rec.id);
-    TrajectoryWork w;
-    w.record = rec;
-    w.InitContext();
-    works.push_back(w);
+    works.push_back(store.Issue(std::move(rec)));
   }
 
   int64_t completed_context = 0;
   std::set<TrajId> completed_ids;
-  replica.set_on_complete([&](TrajectoryRecord rec) {
+  replica.set_on_complete([&](TrajId id) {
+    TrajectoryRecord rec;
+    ASSERT_TRUE(store.MarkCompleted(id, &rec));
     completed_ids.insert(rec.id);
     completed_context += rec.total_tokens();
     // Exactly one policy version: no partial rollout here.
@@ -65,6 +66,7 @@ TEST_P(ReplicaConservationTest, DecodedTokensMatchSpecsExactly) {
   EXPECT_EQ(completed_context, expected_context);
   EXPECT_NEAR(replica.kv_used_tokens(), 0.0, 1e-6);
   EXPECT_EQ(replica.num_reqs(), 0);
+  EXPECT_EQ(store.size(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReplicaConservationTest, ::testing::Range<uint64_t>(0, 12));
@@ -79,21 +81,22 @@ TEST_P(MigrationConservationTest, TokensSurviveRepeatedMigration) {
   PromptPool pool(WorkloadGenerator(wl, rng.Fork("wl")), 16, rng.Fork("pp"));
   DecodeModel decode(Qwen25_7B(), MachineSpec{}, 1);
   ReplicaConfig rc;
-  RolloutReplica a(&sim, rc, decode, decode.KvCapacityTokens());
+  PartialResponsePool store;
+  RolloutReplica a(&sim, rc, decode, decode.KvCapacityTokens(), &store);
   rc.id = 1;  // distinct continuation-registry instance
-  RolloutReplica b(&sim, rc, decode, decode.KvCapacityTokens());
+  RolloutReplica b(&sim, rc, decode, decode.KvCapacityTokens(), &store);
 
   int64_t expected_decode = 0;
-  std::vector<TrajectoryWork> works;
+  std::vector<TrajectoryCursor> works;
   for (auto& rec : pool.NextBatch(64, 0)) {
     expected_decode += rec.spec.total_decode_tokens();
-    TrajectoryWork w;
-    w.record = rec;
-    w.InitContext();
-    works.push_back(w);
+    works.push_back(store.Issue(std::move(rec)));
   }
   int completed = 0;
-  auto on_complete = [&](TrajectoryRecord) { ++completed; };
+  auto on_complete = [&](TrajId id) {
+    EXPECT_TRUE(store.MarkCompleted(id));
+    ++completed;
+  };
   a.set_on_complete(on_complete);
   b.set_on_complete(on_complete);
   a.AssignWork(std::move(works));

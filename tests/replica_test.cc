@@ -18,17 +18,6 @@
 namespace laminar {
 namespace {
 
-std::vector<TrajectoryWork> MakeWorks(PromptPool& pool, int n) {
-  std::vector<TrajectoryWork> works;
-  for (auto& rec : pool.NextBatch(n, 0)) {
-    TrajectoryWork w;
-    w.record = rec;
-    w.InitContext();
-    works.push_back(w);
-  }
-  return works;
-}
-
 class ReplicaTest : public ::testing::Test {
  protected:
   ReplicaTest()
@@ -39,29 +28,49 @@ class ReplicaTest : public ::testing::Test {
     ReplicaConfig rc;
     rc.id = id;
     rc.max_concurrency = max_concurrency;
-    return RolloutReplica(&sim_, rc, decode_, decode_.KvCapacityTokens());
+    return RolloutReplica(&sim_, rc, decode_, decode_.KvCapacityTokens(), &store_);
+  }
+
+  // Issues `n` fresh prompts into the store.
+  std::vector<TrajectoryCursor> MakeWorks(int n) {
+    std::vector<TrajectoryCursor> works;
+    for (auto& rec : pool_.NextBatch(n, 0)) {
+      works.push_back(store_.Issue(std::move(rec)));
+    }
+    return works;
+  }
+
+  // Takes a completed trajectory's record out of the store, stamped as the
+  // driver stamps it.
+  TrajectoryRecord TakeCompleted(TrajId id) {
+    TrajectoryRecord rec;
+    EXPECT_TRUE(store_.MarkCompleted(id, &rec));
+    rec.finished = sim_.Now();
+    return rec;
   }
 
   Simulator sim_;
   DecodeModel decode_;
   PromptPool pool_;
+  PartialResponsePool store_;
 };
 
 TEST_F(ReplicaTest, CompletesAllAssignedWork) {
   RolloutReplica replica = MakeReplica();
   int completed = 0;
   int64_t decode_tokens_expected = 0;
-  replica.set_on_complete([&](TrajectoryRecord rec) {
+  replica.set_on_complete([&](TrajId id) {
     ++completed;
+    TrajectoryRecord rec = TakeCompleted(id);
     EXPECT_EQ(rec.weight_versions.size(), 1u);
     EXPECT_TRUE(rec.finished > SimTime::Zero());
   });
   bool batch_done = false;
   replica.set_on_batch_done([&](RolloutReplica*) { batch_done = true; });
 
-  auto works = MakeWorks(pool_, 64);
+  auto works = MakeWorks(64);
   for (const auto& w : works) {
-    decode_tokens_expected += w.record.spec.total_decode_tokens();
+    decode_tokens_expected += store_.record(w.id).spec.total_decode_tokens();
   }
   replica.AssignWork(std::move(works));
   sim_.RunUntilIdle();
@@ -79,8 +88,8 @@ TEST_F(ReplicaTest, CompletesAllAssignedWork) {
 TEST_F(ReplicaTest, LargeBatchDrainsAndKvReturnsToZero) {
   RolloutReplica replica = MakeReplica(1024);
   int completed = 0;
-  replica.set_on_complete([&](TrajectoryRecord) { ++completed; });
-  replica.AssignWork(MakeWorks(pool_, 1024));
+  replica.set_on_complete([&](TrajId) { ++completed; });
+  replica.AssignWork(MakeWorks(1024));
   sim_.RunUntilIdle();
   EXPECT_EQ(completed, 1024);
   EXPECT_EQ(replica.num_reqs(), 0);
@@ -90,8 +99,8 @@ TEST_F(ReplicaTest, LargeBatchDrainsAndKvReturnsToZero) {
 
 TEST_F(ReplicaTest, KvUtilizationStaysWithinCapacity) {
   RolloutReplica replica = MakeReplica(1024);
-  replica.set_on_complete([](TrajectoryRecord) {});
-  replica.AssignWork(MakeWorks(pool_, 512));
+  replica.set_on_complete([](TrajId) {});
+  replica.AssignWork(MakeWorks(512));
   // Step through and check the invariant after every event.
   while (sim_.Step()) {
     EXPECT_LE(replica.kv_used_tokens(), replica.kv_capacity_tokens() + 1e-6);
@@ -102,8 +111,8 @@ TEST_F(ReplicaTest, KvUtilizationStaysWithinCapacity) {
 TEST_F(ReplicaTest, PauseResumePreservesWork) {
   RolloutReplica replica = MakeReplica();
   int completed = 0;
-  replica.set_on_complete([&](TrajectoryRecord) { ++completed; });
-  replica.AssignWork(MakeWorks(pool_, 32));
+  replica.set_on_complete([&](TrajId) { ++completed; });
+  replica.AssignWork(MakeWorks(32));
   sim_.RunUntil(SimTime(5.0));
   replica.Pause();
   EXPECT_EQ(replica.phase(), ReplicaPhase::kPaused);
@@ -119,8 +128,8 @@ TEST_F(ReplicaTest, PauseResumePreservesWork) {
 TEST_F(ReplicaTest, PartialRolloutResumeStampsNewVersion) {
   RolloutReplica replica = MakeReplica();
   std::vector<TrajectoryRecord> done;
-  replica.set_on_complete([&](TrajectoryRecord rec) { done.push_back(rec); });
-  replica.AssignWork(MakeWorks(pool_, 32));
+  replica.set_on_complete([&](TrajId id) { done.push_back(TakeCompleted(id)); });
+  replica.AssignWork(MakeWorks(32));
   sim_.RunUntil(SimTime(5.0));
   replica.Pause();
   replica.Resume(/*new_version=*/3, /*recompute_kv=*/true);
@@ -139,8 +148,8 @@ TEST_F(ReplicaTest, PartialRolloutResumeStampsNewVersion) {
 
 TEST_F(ReplicaTest, ExtractAllWorkEmptiesReplica) {
   RolloutReplica replica = MakeReplica();
-  replica.set_on_complete([](TrajectoryRecord) {});
-  replica.AssignWork(MakeWorks(pool_, 64));
+  replica.set_on_complete([](TrajId) {});
+  replica.AssignWork(MakeWorks(64));
   sim_.RunUntil(SimTime(10.0));
   int before = replica.num_reqs();
   EXPECT_GT(before, 0);
@@ -161,9 +170,9 @@ TEST_F(ReplicaTest, MigratedWorkFinishesOnDestination) {
   RolloutReplica src = MakeReplica();
   RolloutReplica dst = MakeReplica(1024, /*id=*/1);
   int completed = 0;
-  src.set_on_complete([&](TrajectoryRecord) { ++completed; });
-  dst.set_on_complete([&](TrajectoryRecord) { ++completed; });
-  src.AssignWork(MakeWorks(pool_, 32));
+  src.set_on_complete([&](TrajId) { ++completed; });
+  dst.set_on_complete([&](TrajId) { ++completed; });
+  src.AssignWork(MakeWorks(32));
   sim_.RunUntil(SimTime(10.0));
   auto works = src.ExtractAllWork();
   int in_flight = static_cast<int>(works.size());
@@ -177,8 +186,8 @@ TEST_F(ReplicaTest, MigratedWorkFinishesOnDestination) {
 TEST_F(ReplicaTest, KillLosesWorkReviveAcceptsNew) {
   RolloutReplica replica = MakeReplica();
   int completed = 0;
-  replica.set_on_complete([&](TrajectoryRecord) { ++completed; });
-  replica.AssignWork(MakeWorks(pool_, 32));
+  replica.set_on_complete([&](TrajId) { ++completed; });
+  replica.AssignWork(MakeWorks(32));
   sim_.RunUntil(SimTime(5.0));
   replica.Kill();
   EXPECT_EQ(replica.phase(), ReplicaPhase::kDead);
@@ -186,15 +195,15 @@ TEST_F(ReplicaTest, KillLosesWorkReviveAcceptsNew) {
   sim_.RunUntilIdle();
   int after_kill = completed;
   replica.Revive();
-  replica.AssignWork(MakeWorks(pool_, 16));
+  replica.AssignWork(MakeWorks(16));
   sim_.RunUntilIdle();
   EXPECT_EQ(completed, after_kill + 16);
 }
 
 TEST_F(ReplicaTest, DecodeBatchRampsDownAtTail) {
   RolloutReplica replica = MakeReplica();
-  replica.set_on_complete([](TrajectoryRecord) {});
-  replica.AssignWork(MakeWorks(pool_, 256));
+  replica.set_on_complete([](TrajId) {});
+  replica.AssignWork(MakeWorks(256));
   sim_.RunUntilIdle();
   // The KVCache lifecycle (Figure 9) implies average utilization well below
   // the peak: ramp-up, plateau, ramp-down.
@@ -206,10 +215,10 @@ TEST_F(ReplicaTest, DecodeBatchRampsDownAtTail) {
 
 TEST_F(ReplicaTest, DecodeContextCheckReportsSkewedBaseByName) {
   RolloutReplica replica = MakeReplica();
-  replica.set_on_complete([](TrajectoryRecord) {});
+  replica.set_on_complete([](TrajId) {});
   InvariantChecker checker(&sim_, InvariantCheckerConfig{});
   checker.AddReplica(&replica);
-  replica.AssignWork(MakeWorks(pool_, 32));
+  replica.AssignWork(MakeWorks(32));
   sim_.RunUntil(SimTime(5.0));
   checker.CheckSweep();
   ASSERT_TRUE(checker.ok());
@@ -275,7 +284,7 @@ class ReplicaDrive {
         case 140:
         case 610: {
           replica_->AssignServingWork(Serving(3));
-          std::vector<TrajectoryWork> evicted = replica_->PreemptRolloutForServing(
+          std::vector<TrajectoryCursor> evicted = replica_->PreemptRolloutForServing(
               replica_->kv_capacity_tokens() - replica_->kv_used_tokens() + 3000.0);
           MixWorks('s', evicted);
           serving_evicted_ += static_cast<int64_t>(evicted.size());
@@ -291,7 +300,7 @@ class ReplicaDrive {
           RoundTrip();
           break;
         case 470: {
-          std::vector<TrajectoryWork> out = replica_->ExtractAllWork();
+          std::vector<TrajectoryCursor> out = replica_->ExtractAllWork();
           MixWorks('x', out);
           CheckKv("extract");
           replica_->AssignWork(std::move(out), /*kv_transferred=*/true);
@@ -299,7 +308,7 @@ class ReplicaDrive {
         }
         case 700: {
           int resident = replica_->num_reqs();
-          std::vector<TrajectoryWork> lost = replica_->Kill();
+          std::vector<TrajectoryCursor> lost = replica_->Kill();
           killed_ = resident - static_cast<int64_t>(lost.size());
           MixWorks('k', lost);
           CheckKv("kill");
@@ -347,8 +356,12 @@ class ReplicaDrive {
     // A small cache and a short growth reserve, so headroom preemption fires
     // under decode growth.
     rc.kv_growth_reserve_steps = 48;
-    auto r = std::make_unique<RolloutReplica>(sim, rc, decode_, 40000.0);
-    r->set_on_complete([this](TrajectoryRecord rec) {
+    auto r = std::make_unique<RolloutReplica>(sim, rc, decode_, 40000.0, &store_,
+                                              &serving_store_);
+    r->set_on_complete([this](TrajId id) {
+      TrajectoryRecord rec;
+      ASSERT_TRUE((IsServingId(id) ? serving_store_ : store_).MarkCompleted(id, &rec));
+      rec.finished = sim_->Now();
       ++completed_;
       digest_ = SnapshotFoldU64(digest_, 'c');
       digest_ = SnapshotFoldF64(digest_, sim_->Now().seconds());
@@ -359,7 +372,7 @@ class ReplicaDrive {
         digest_ = SnapshotFoldI64(digest_, v);
       }
     });
-    r->set_on_progress([this](const TrajectoryWork& w, int replica_id) {
+    r->set_on_progress([this](const TrajectoryCursor& w, int replica_id) {
       ++progress_calls_;
       digest_ = SnapshotFoldU64(digest_, 'p');
       digest_ = SnapshotFoldF64(digest_, sim_->Now().seconds());
@@ -369,19 +382,19 @@ class ReplicaDrive {
     return r;
   }
 
-  void MixWork(const TrajectoryWork& w) {
-    digest_ = SnapshotFoldI64(digest_, w.record.id);
+  void MixWork(const TrajectoryCursor& w) {
+    digest_ = SnapshotFoldI64(digest_, w.id);
     digest_ = SnapshotFoldI64(digest_, w.context_tokens);
     digest_ = SnapshotFoldI64(digest_, w.decoded_in_segment);
     digest_ = SnapshotFoldI64(digest_, w.segment_index);
     digest_ = SnapshotFoldI64(digest_, w.kv_resident ? 1 : 0);
   }
 
-  void MixWorks(char tag, const std::vector<TrajectoryWork>& works) {
+  void MixWorks(char tag, const std::vector<TrajectoryCursor>& works) {
     digest_ = SnapshotFoldU64(digest_, static_cast<uint64_t>(tag));
     digest_ = SnapshotFoldF64(digest_, sim_->Now().seconds());
     digest_ = SnapshotFoldI64(digest_, static_cast<int64_t>(works.size()));
-    for (const TrajectoryWork& w : works) {
+    for (const TrajectoryCursor& w : works) {
       MixWork(w);
     }
   }
@@ -393,11 +406,12 @@ class ReplicaDrive {
 
   // Decode lengths come from a short list so several sequences admitted
   // together reach a segment boundary on the same step.
-  TrajectoryWork MakeWork(TrajId id, int max_segments) {
+  // Issues a record into the store its id belongs to.
+  TrajectoryCursor MakeWork(TrajId id, int max_segments) {
     static constexpr int64_t kLengths[] = {24, 48, 48, 96, 160, 256, 700, 1300};
-    TrajectoryWork w;
-    w.record.id = id;
-    w.record.spec.prompt_tokens = rng_.UniformInt(32, 320);
+    TrajectoryRecord rec;
+    rec.id = id;
+    rec.spec.prompt_tokens = rng_.UniformInt(32, 320);
     int segments = static_cast<int>(rng_.UniformInt(1, max_segments));
     for (int i = 0; i < segments; ++i) {
       TrajectorySegment seg;
@@ -409,22 +423,21 @@ class ReplicaDrive {
         seg.env_latency = rng_.Bernoulli(0.5) ? rng_.Uniform(0.2, 2.5) : 0.0;
         seg.feedback_tokens = rng_.UniformInt(0, 64);
       }
-      w.record.spec.AppendSegment(seg);
+      rec.spec.AppendSegment(seg);
     }
-    w.InitContext();
-    return w;
+    return (IsServingId(id) ? serving_store_ : store_).Issue(std::move(rec));
   }
 
-  std::vector<TrajectoryWork> Fresh(int n) {
-    std::vector<TrajectoryWork> works;
+  std::vector<TrajectoryCursor> Fresh(int n) {
+    std::vector<TrajectoryCursor> works;
     for (int i = 0; i < n && fed_ < kTotalRollout; ++i) {
       works.push_back(MakeWork(fed_++, 4));
     }
     return works;
   }
 
-  std::vector<TrajectoryWork> Serving(int n) {
-    std::vector<TrajectoryWork> works;
+  std::vector<TrajectoryCursor> Serving(int n) {
+    std::vector<TrajectoryCursor> works;
     for (int i = 0; i < n; ++i) {
       works.push_back(MakeWork(kServingIdBase + serving_++, 1));
     }
@@ -465,6 +478,10 @@ class ReplicaDrive {
 
   Rng rng_;
   DecodeModel decode_;
+  // The stores outlive the round trip: only the engine and the replica are
+  // re-booted from the blob.
+  PartialResponsePool store_;
+  PartialResponsePool serving_store_{kServingIdBase};
   std::unique_ptr<Simulator> sim_;
   std::unique_ptr<RolloutReplica> replica_;
   uint64_t digest_ = 1469598103934665603ull;
