@@ -1,18 +1,23 @@
 // Micro-benchmarks of the hot simulator/algorithm components
 // (google-benchmark): event queue, Best-Fit consolidation, broadcast math,
-// decode-latency model, policy update, replica decode advance, trajectory
-// store checkpoint/complete.
+// decode-latency model, policy update, trainer iteration, replica decode
+// advance, trajectory store checkpoint/complete.
 #include <benchmark/benchmark.h>
 
+#include <span>
+
 #include "src/common/rng.h"
+#include "src/data/experience_buffer.h"
 #include "src/data/partial_response_pool.h"
 #include "src/llm/decode_model.h"
 #include "src/llm/model_spec.h"
+#include "src/llm/train_cost.h"
 #include "src/policy/policy.h"
 #include "src/relay/broadcast_model.h"
 #include "src/repack/best_fit.h"
 #include "src/rollout/replica.h"
 #include "src/sim/simulator.h"
+#include "src/trainer/trainer.h"
 
 namespace laminar {
 namespace {
@@ -109,13 +114,60 @@ void BM_PolicyUpdateMinibatch(benchmark::State& state) {
     policy.ScoreTrajectory(rec, rng);
     batch.push_back(rec);
   }
+  std::span<const TrajectoryRecord> minibatch(batch);
   for (auto _ : state) {
-    UpdateStats stats = policy.UpdateMinibatch(batch, RlAlgorithm::kGrpo);
+    UpdateStats stats = policy.UpdateMinibatch(minibatch, RlAlgorithm::kGrpo);
     benchmark::DoNotOptimize(stats.grad_norm);
   }
   state.SetItemsProcessed(state.iterations() * 512);
 }
 BENCHMARK(BM_PolicyUpdateMinibatch);
+
+// One full-batch trainer iteration at the default shape: sample 8192 scored
+// records (512 prompt groups of 16, interleaved as completions arrive) from
+// a filled buffer, record the batch statistics, run 16 mini-batch updates
+// and publish. Refilling the buffer is untimed.
+void BM_TrainerFullBatchIteration(benchmark::State& state) {
+  constexpr int kGlobalBatch = 8192;
+  Simulator sim;
+  ExperienceBuffer buffer(MakeFifoSampler());
+  Policy policy{PolicyConfig{}};
+  TrainerConfig tc;
+  tc.global_batch = kGlobalBatch;
+  tc.num_minibatches = 16;
+  tc.auto_continue = false;
+  Trainer trainer(&sim, tc, TrainCostModel(Qwen25_7B(), GpuSpec{}, 8), &buffer, &policy);
+  trainer.set_publish_fn([](int) { return 0.0; });
+  trainer.Start();
+  Rng rng(4);
+  std::vector<TrajectoryRecord> records;
+  for (int i = 0; i < kGlobalBatch; ++i) {
+    TrajectoryRecord rec;
+    rec.id = i;
+    rec.prompt_id = i / 16;
+    rec.difficulty = rng.Uniform();
+    rec.weight_versions = {0};
+    rec.spec.prompt_tokens = 512;
+    rec.spec.AppendSegment(TrajectorySegment{1024, 0.0, 0});
+    policy.ScoreTrajectory(rec, rng);
+    records.push_back(rec);
+  }
+  rng.Shuffle(records);
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (const TrajectoryRecord& rec : records) {
+      buffer.Push(rec);
+    }
+    state.ResumeTiming();
+    trainer.NotifyData();
+    sim.RunUntilIdle();
+    benchmark::DoNotOptimize(policy.parameters().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kGlobalBatch);
+  state.counters["version"] = trainer.version();
+}
+BENCHMARK(BM_TrainerFullBatchIteration)->Unit(benchmark::kMillisecond);
 
 // One replica decoding a fixed batch of single-segment responses long
 // enough that none finishes, with a cache far larger than the run can fill:

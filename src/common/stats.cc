@@ -104,6 +104,12 @@ void SampleSet::Snapshot(SnapshotTx& tx) {
   tx.Bool("sorted", &sorted_);
 }
 
+void IntTally::Snapshot(SnapshotTx& tx) {
+  tx.I64("count", &count);
+  tx.I64("sum", &sum);
+  tx.I64("max", &max);
+}
+
 void TimeSeries::Snapshot(SnapshotTx& tx) {
   // Packed as parallel (times, values) double vectors so the record count
   // stays fixed regardless of series length.

@@ -47,6 +47,25 @@ class SampleSet {
   mutable bool sorted_ = true;
 };
 
+// Count, sum and max of integer samples. Mean and max of a run's staleness
+// need nothing more, and the double mean sum / count equals the mean of the
+// raw samples bit for bit while partial sums stay below 2^53.
+struct IntTally {
+  int64_t count = 0;
+  int64_t sum = 0;
+  int64_t max = 0;  // 0 while empty
+
+  void Add(int64_t x) {
+    max = count == 0 || x > max ? x : max;
+    ++count;
+    sum += x;
+  }
+  double mean() const {
+    return count == 0 ? 0.0 : static_cast<double>(sum) / static_cast<double>(count);
+  }
+  void Snapshot(SnapshotTx& tx);
+};
+
 // A (time, value) series, e.g. throughput over the course of a run.
 struct TimePoint {
   SimTime time;

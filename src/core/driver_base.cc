@@ -224,7 +224,7 @@ void DriverBase::OnTrajectoryComplete(TrajId id) {
     staleness_samples_.emplace_back(record.finished.seconds(),
                                     record.inherent_staleness());
   }
-  inherent_staleness_all_.Add(static_cast<double>(record.inherent_staleness()));
+  inherent_staleness_all_.Add(record.inherent_staleness());
   traj_durations_.Add(record.finished - record.created);
   if (invariant_checker_ != nullptr) {
     invariant_checker_->ObserveBufferPush(record);
@@ -395,15 +395,11 @@ SystemReport DriverBase::AssembleReport(double wall_seconds) {
     rep.train_fraction = training_phase_seconds_ / phase_total;
   }
 
-  const SampleSet& consume = trainer_->consume_staleness();
-  if (!consume.empty()) {
-    rep.mean_consume_staleness = consume.mean();
-    rep.max_consume_staleness = consume.max();
-  }
-  if (!inherent_staleness_all_.empty()) {
-    rep.mean_inherent_staleness = inherent_staleness_all_.mean();
-    rep.max_inherent_staleness = inherent_staleness_all_.max();
-  }
+  const IntTally& consume = trainer_->consume_staleness();
+  rep.mean_consume_staleness = consume.mean();
+  rep.max_consume_staleness = static_cast<double>(consume.max);
+  rep.mean_inherent_staleness = inherent_staleness_all_.mean();
+  rep.max_inherent_staleness = static_cast<double>(inherent_staleness_all_.max);
   double mixed = 0.0;
   for (const IterationStats& it : rep.iterations) {
     mixed += it.mixed_version_fraction;

@@ -182,7 +182,7 @@ class DriverBase : public ContinuationClient {
   TimeSeries train_reward_series_;
   SampleSet traj_durations_;
   std::vector<std::pair<double, int>> staleness_samples_;
-  SampleSet inherent_staleness_all_;
+  IntTally inherent_staleness_all_;
   int64_t last_gen_tokens_ = 0;
   SimTime last_rate_sample_;
   SimTime prev_iteration_end_;

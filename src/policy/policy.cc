@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <map>
 
 #include "src/common/logging.h"
 #include "src/snapshot/snapshot.h"
@@ -172,36 +171,47 @@ void Policy::ScoreTrajectory(TrajectoryRecord& record, Rng& rng) const {
   record.behavior_prob = SuccessProb(record.generation_version(), record.difficulty);
 }
 
-UpdateStats Policy::UpdateMinibatch(const std::vector<TrajectoryRecord>& minibatch,
+UpdateStats Policy::UpdateMinibatch(std::span<const TrajectoryRecord> minibatch,
                                     RlAlgorithm algorithm) {
   UpdateStats stats;
   if (minibatch.empty()) {
     return stats;
   }
-  // GRPO advantages: normalize rewards within each prompt group.
-  std::map<int64_t, std::vector<const TrajectoryRecord*>> groups;
-  for (const TrajectoryRecord& rec : minibatch) {
-    groups[rec.prompt_id].push_back(&rec);
+  // GRPO advantages: normalize rewards within each prompt group. Sorting
+  // positions on (prompt_id, position) lays every group out contiguously in
+  // batch order, so its mean and variance sums add members in batch order.
+  group_keys_.resize(minibatch.size());
+  for (size_t i = 0; i < minibatch.size(); ++i) {
+    group_keys_[i] = {minibatch[i].prompt_id, static_cast<uint32_t>(i)};
   }
-  std::map<int64_t, std::pair<double, double>> group_stats;  // mean, std
-  for (const auto& [pid, members] : groups) {
+  std::sort(group_keys_.begin(), group_keys_.end());
+  group_stats_.resize(minibatch.size());
+  for (size_t begin = 0, end = 0; begin < group_keys_.size(); begin = end) {
+    while (end < group_keys_.size() && group_keys_[end].first == group_keys_[begin].first) {
+      ++end;
+    }
+    double size = static_cast<double>(end - begin);
     double mean = 0.0;
-    for (const auto* rec : members) {
-      mean += rec->reward;
+    for (size_t k = begin; k < end; ++k) {
+      mean += minibatch[group_keys_[k].second].reward;
     }
-    mean /= static_cast<double>(members.size());
+    mean /= size;
     double var = 0.0;
-    for (const auto* rec : members) {
-      var += (rec->reward - mean) * (rec->reward - mean);
+    for (size_t k = begin; k < end; ++k) {
+      double reward = minibatch[group_keys_[k].second].reward;
+      var += (reward - mean) * (reward - mean);
     }
-    var /= static_cast<double>(members.size());
-    group_stats[pid] = {mean, std::sqrt(var)};
+    double stddev = std::sqrt(var / size);
+    for (size_t k = begin; k < end; ++k) {
+      group_stats_[group_keys_[k].second] = {mean, stddev};
+    }
   }
 
   std::vector<double> grad(config_.num_features, 0.0);
-  for (const TrajectoryRecord& rec : minibatch) {
+  for (size_t i = 0; i < minibatch.size(); ++i) {
+    const TrajectoryRecord& rec = minibatch[i];
     stats.mean_reward += rec.reward;
-    auto [mean, stddev] = group_stats[rec.prompt_id];
+    auto [mean, stddev] = group_stats_[i];
     if (stddev < 1e-9) {
       continue;  // all-success or all-failure group carries no GRPO signal
     }

@@ -22,6 +22,8 @@
 #define LAMINAR_SRC_POLICY_POLICY_H_
 
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -89,7 +91,7 @@ class Policy {
   // One mini-batch policy update. Records must carry reward, behaviour prob,
   // difficulty and version metadata (ScoreTrajectory fills all of them).
   // Groups records by prompt_id for GRPO advantages.
-  UpdateStats UpdateMinibatch(const std::vector<TrajectoryRecord>& minibatch,
+  UpdateStats UpdateMinibatch(std::span<const TrajectoryRecord> minibatch,
                               RlAlgorithm algorithm);
 
   // Exact expected reward of the current parameters over the difficulty
@@ -144,6 +146,11 @@ class Policy {
   mutable std::vector<ProbEntry> prob_cache_;
   mutable std::vector<CurrentEntry> current_cache_;
   uint64_t theta_epoch_ = 0;  // bumped on every in-place theta_ mutation
+
+  // UpdateMinibatch scratch, reused across calls: (prompt_id, position)
+  // keys, and each position's group (mean, stddev).
+  std::vector<std::pair<int64_t, uint32_t>> group_keys_;
+  std::vector<std::pair<double, double>> group_stats_;
 };
 
 }  // namespace laminar

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
 
 #include "src/common/logging.h"
 #include "src/snapshot/snapshot.h"
@@ -228,10 +227,17 @@ std::vector<TrajectoryCursor> RolloutReplica::ExtractAllWork() {
       out.push_back(w);
     }
   }
-  auto rollout = std::stable_partition(waiting_.begin(), waiting_.end(),
-                                       [](const TrajectoryCursor& w) { return IsServingId(w.id); });
-  out.insert(out.end(), rollout, waiting_.end());
-  waiting_.erase(rollout, waiting_.end());
+  // One rotation of the queue: serving requests go back in order, rollout
+  // sequences leave in order (a stable partition).
+  for (size_t n = waiting_.size(); n > 0; --n) {
+    TrajectoryCursor w = waiting_.front();
+    waiting_.pop_front();
+    if (IsServingId(w.id)) {
+      waiting_.push_back(w);
+    } else {
+      out.push_back(w);
+    }
+  }
   metrics_.migrations_out += static_cast<int64_t>(out.size());
   if (num_serving_ == 0) {
     // Everything drained: exact integer-token subtraction above already left
@@ -372,9 +378,11 @@ std::vector<TrajectoryCursor> RolloutReplica::Kill() {
   // admission, so the manager recovers those via TakeByReplica. Queued work
   // may never have been admitted anywhere; hand it back so the caller can
   // account for it explicitly instead of losing it silently.
-  std::vector<TrajectoryCursor> discarded(waiting_.begin(), waiting_.end());
-  for (TrajectoryCursor& w : discarded) {
+  std::vector<TrajectoryCursor> discarded;
+  discarded.reserve(waiting_.size());
+  for (TrajectoryCursor w : waiting_) {
     w.kv_resident = false;
+    discarded.push_back(w);
   }
   running_.clear();
   running_live_ = 0;
@@ -445,7 +453,9 @@ void RolloutReplica::AppendHeldIds(std::vector<TrajId>* ids) const {
       ids->push_back(seq.cursor.id);
     }
   }
-  std::ranges::transform(waiting_, std::back_inserter(*ids), &TrajectoryCursor::id);
+  for (const TrajectoryCursor& w : waiting_) {
+    ids->push_back(w.id);
+  }
   for (const EnvEntry& e : env_) {
     if (e.live) {
       ids->push_back(e.cursor.id);

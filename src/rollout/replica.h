@@ -29,10 +29,10 @@
 #define LAMINAR_SRC_ROLLOUT_REPLICA_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
+#include "src/common/ring_deque.h"
 #include "src/common/stats.h"
 #include "src/data/partial_response_pool.h"
 #include "src/data/trajectory.h"
@@ -362,7 +362,7 @@ class RolloutReplica : public ContinuationClient {
   // Σ materialized context_tokens over the live batch.
   int64_t decode_ctx_total_ = 0;
   std::vector<BoundaryKey> boundary_heap_;
-  std::deque<TrajectoryCursor> waiting_;
+  RingDeque<TrajectoryCursor> waiting_;
   std::vector<EnvEntry> env_;
   uint64_t env_base_ = 0;  // seq of env_[0]
   size_t env_head_ = 0;    // first live entry, if any

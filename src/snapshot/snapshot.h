@@ -55,9 +55,10 @@ inline constexpr char kSnapshotMagic[8] = {'L', 'M', 'S', 'N', 'A', 'P', '1', '\
 // the blob. v3 writes the partial-response pool's entries in ascending
 // TrajId; v4 writes the rollout manager's counters as named records; v5
 // writes each in-flight record once, in the trajectory store, and cursors
-// everywhere else. The reader accepts exactly this version; any other stops
-// at parse.
-inline constexpr uint32_t kSnapshotVersion = 5;
+// everywhere else; v6 writes the trainer's and the driver's staleness as
+// (count, sum, max) counters in place of every sample. The reader accepts
+// exactly this version; any other stops at parse.
+inline constexpr uint32_t kSnapshotVersion = 6;
 
 // Record kinds in the LMSNAP1 stream.
 enum class SnapshotRecordKind : uint8_t {

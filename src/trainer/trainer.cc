@@ -108,25 +108,7 @@ void Trainer::TryBegin() {
   TryBeginMinibatch();
 }
 
-std::vector<std::vector<TrajectoryRecord>> Trainer::SplitMinibatches(
-    std::vector<TrajectoryRecord> batch) const {
-  size_t per_mb = batch.size() / config_.num_minibatches;
-  std::vector<std::vector<TrajectoryRecord>> out;
-  out.reserve(config_.num_minibatches);
-  size_t idx = 0;
-  for (int m = 0; m < config_.num_minibatches; ++m) {
-    std::vector<TrajectoryRecord> mb;
-    size_t take = m + 1 == config_.num_minibatches ? batch.size() - idx : per_mb;
-    mb.reserve(take);
-    for (size_t i = 0; i < take; ++i) {
-      mb.push_back(std::move(batch[idx++]));
-    }
-    out.push_back(std::move(mb));
-  }
-  return out;
-}
-
-void Trainer::RecordBatchStats(const std::vector<TrajectoryRecord>& batch,
+void Trainer::RecordBatchStats(std::span<const TrajectoryRecord> batch,
                                IterationStats& stats) {
   for (const TrajectoryRecord& rec : batch) {
     stats.tokens += static_cast<double>(rec.total_tokens());
@@ -137,8 +119,7 @@ void Trainer::RecordBatchStats(const std::vector<TrajectoryRecord>& batch,
     if (rec.mixed_version()) {
       stats.mixed_version_fraction += 1.0;
     }
-    consume_staleness_.Add(static_cast<double>(staleness));
-    inherent_staleness_.Add(static_cast<double>(rec.inherent_staleness()));
+    consume_staleness_.Add(staleness);
   }
   double n = static_cast<double>(batch.size());
   stats.mean_reward /= n;
@@ -155,11 +136,16 @@ void Trainer::BeginFullBatch() {
       buffer_->Sample(static_cast<size_t>(config_.global_batch), version_);
   RecordBatchStats(batch, stats);
 
-  // Policy math runs eagerly, mini-batch by mini-batch (the parameter values
-  // it produces are what matters; the wall time is charged below).
+  // Policy math runs eagerly, mini-batch by mini-batch over contiguous spans
+  // of the batch, the last taking any remainder (the parameter values it
+  // produces are what matters; the wall time is charged below).
+  std::span<const TrajectoryRecord> rest(batch);
+  size_t per_mb = batch.size() / config_.num_minibatches;
   double clip_sum = 0.0;
-  for (auto& mb : SplitMinibatches(std::move(batch))) {
-    UpdateStats u = policy_->UpdateMinibatch(mb, config_.algorithm);
+  for (int m = 0; m < config_.num_minibatches; ++m) {
+    size_t take = m + 1 == config_.num_minibatches ? rest.size() : per_mb;
+    UpdateStats u = policy_->UpdateMinibatch(rest.first(take), config_.algorithm);
+    rest = rest.subspan(take);
     clip_sum += u.clip_fraction;
   }
   stats.clip_fraction = clip_sum / config_.num_minibatches;
@@ -335,9 +321,6 @@ void Trainer::SnapshotPersistent(SnapshotTx& tx) {
   tx.Begin("consume_staleness");
   consume_staleness_.Snapshot(tx);
   tx.End();
-  tx.Begin("inherent_staleness");
-  inherent_staleness_.Snapshot(tx);
-  tx.End();
   tx.End();
 }
 
@@ -406,8 +389,7 @@ void Trainer::CrashRestart(const std::string& checkpoint, double recovery_second
   // the restart sees only what was durably serialized.
   version_ = 0;
   iterations_.clear();
-  consume_staleness_ = SampleSet();
-  inherent_staleness_ = SampleSet();
+  consume_staleness_ = IntTally{};
   SnapshotReader reader;
   std::string error;
   LAMINAR_CHECK(reader.Parse(checkpoint, &error)) << "trainer checkpoint: " << error;

@@ -15,6 +15,7 @@
 #define LAMINAR_SRC_TRAINER_TRAINER_H_
 
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "src/common/stats.h"
@@ -97,7 +98,8 @@ class Trainer : public ContinuationClient {
 
   // Checkpointing / crash-restart chaos (DESIGN.md §13) --------------------------
   // Serializes the trainer's persistent state (published version, completed
-  // iteration history, staleness samples) as an LMSNAP1 blob. The system
+  // iteration history, consume-staleness counters) as an LMSNAP1 blob. Its
+  // size grows with the iteration count only, never with the global batch. The system
   // refreshes this at Start() and after every completed iteration, so a
   // checkpoint never lags the last publish.
   std::string Checkpoint();
@@ -120,8 +122,9 @@ class Trainer : public ContinuationClient {
   bool busy() const { return busy_; }
   bool dead() const { return dead_; }
   const std::vector<IterationStats>& iterations() const { return iterations_; }
-  const SampleSet& consume_staleness() const { return consume_staleness_; }
-  const SampleSet& inherent_staleness() const { return inherent_staleness_; }
+  // Count, sum and max of every trained record's consume staleness: the
+  // report reads only their mean and max.
+  const IntTally& consume_staleness() const { return consume_staleness_; }
 
  private:
   // The checkpoint traversal shared by Checkpoint() (write) and
@@ -136,9 +139,7 @@ class Trainer : public ContinuationClient {
   void BeginFullBatch();
   void TryBeginMinibatch();
   void FinishIteration(IterationStats stats);
-  void RecordBatchStats(const std::vector<TrajectoryRecord>& batch, IterationStats& stats);
-  std::vector<std::vector<TrajectoryRecord>> SplitMinibatches(
-      std::vector<TrajectoryRecord> batch) const;
+  void RecordBatchStats(std::span<const TrajectoryRecord> batch, IterationStats& stats);
 
   Simulator* sim_;
   TrainerConfig config_;
@@ -168,8 +169,7 @@ class Trainer : public ContinuationClient {
   // event with nothing but its (kind, time).
   IterationStats pending_stats_;
   std::vector<IterationStats> iterations_;
-  SampleSet consume_staleness_;
-  SampleSet inherent_staleness_;
+  IntTally consume_staleness_;
 };
 
 }  // namespace laminar

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
+#include <vector>
 
 #include "src/common/flags.h"
 #include "src/common/histogram.h"
+#include "src/common/ring_deque.h"
 #include "src/common/rng.h"
 #include "src/common/sim_time.h"
 #include "src/common/stats.h"
@@ -170,6 +173,42 @@ TEST(FlagsTest, ParsesAllForms) {
   EXPECT_EQ(f.GetInt("alpha"), 5);
   EXPECT_EQ(f.GetString("beta"), "hello");
   EXPECT_TRUE(f.GetBool("gamma"));
+}
+
+// Random push_front/push_back/pop_front/clear against std::deque, so the
+// ring wraps and grows with its head at every offset.
+TEST(RingDequeTest, MatchesStdDequeUnderRandomOps) {
+  RingDeque<int> ring;
+  std::deque<int> want;
+  Rng rng(17);
+  for (int step = 0; step < 20000; ++step) {
+    int64_t op = rng.UniformInt(0, 99);
+    if (op < 35) {
+      ring.push_back(step);
+      want.push_back(step);
+    } else if (op < 60) {
+      ring.push_front(step);
+      want.push_front(step);
+    } else if (op < 99) {
+      if (!want.empty()) {
+        ASSERT_EQ(ring.front(), want.front());
+        ring.pop_front();
+        want.pop_front();
+      }
+    } else {
+      ring.clear();
+      want.clear();
+    }
+    ASSERT_EQ(ring.size(), want.size());
+    ASSERT_EQ(ring.empty(), want.empty());
+    if (step % 97 == 0) {
+      std::vector<int> got;
+      for (int v : ring) {
+        got.push_back(v);
+      }
+      ASSERT_EQ(got, std::vector<int>(want.begin(), want.end())) << "step " << step;
+    }
+  }
 }
 
 TEST(FlagsTest, DefaultsApply) {

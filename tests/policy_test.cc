@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <map>
+#include <span>
+
 #include "src/policy/policy.h"
 
 namespace laminar {
@@ -150,6 +156,166 @@ TEST(PolicyTest, ClipFractionGrowsWithStaleness) {
   UpdateStats off = fresh_policy.UpdateMinibatch(off_policy, RlAlgorithm::kGrpo);
   EXPECT_GE(off.clip_fraction, on.clip_fraction);
   EXPECT_GT(off.mean_abs_log_ratio, on.mean_abs_log_ratio);
+}
+
+// The mini-batch update as it was written before GRPO groups went flat: one
+// std::map of member pointers per prompt, a second map of group statistics.
+// Features are recomputed from the config with Policy's formula. Returns the
+// stats and the parameters the update would produce, leaving `policy` as is.
+std::pair<UpdateStats, std::vector<double>> MapReferenceUpdate(
+    const Policy& policy, std::span<const TrajectoryRecord> minibatch,
+    RlAlgorithm algorithm) {
+  const PolicyConfig& c = policy.config();
+  auto features = [&c](double difficulty) {
+    std::vector<double> phi(c.num_features);
+    double norm = 0.0;
+    for (int j = 0; j < c.num_features; ++j) {
+      double center =
+          c.num_features == 1 ? 0.5 : static_cast<double>(j) / (c.num_features - 1);
+      double z = (difficulty - center) / c.feature_width;
+      phi[j] = std::exp(-0.5 * z * z);
+      norm += phi[j] * phi[j];
+    }
+    norm = std::sqrt(norm);
+    for (double& v : phi) {
+      v /= norm;
+    }
+    return phi;
+  };
+  std::map<int64_t, std::vector<const TrajectoryRecord*>> groups;
+  for (const TrajectoryRecord& rec : minibatch) {
+    groups[rec.prompt_id].push_back(&rec);
+  }
+  std::map<int64_t, std::pair<double, double>> group_stats;  // mean, std
+  for (const auto& [pid, members] : groups) {
+    double mean = 0.0;
+    for (const auto* rec : members) {
+      mean += rec->reward;
+    }
+    mean /= static_cast<double>(members.size());
+    double var = 0.0;
+    for (const auto* rec : members) {
+      var += (rec->reward - mean) * (rec->reward - mean);
+    }
+    var /= static_cast<double>(members.size());
+    group_stats[pid] = {mean, std::sqrt(var)};
+  }
+  UpdateStats stats;
+  std::vector<double> grad(c.num_features, 0.0);
+  for (const TrajectoryRecord& rec : minibatch) {
+    stats.mean_reward += rec.reward;
+    auto [mean, stddev] = group_stats[rec.prompt_id];
+    if (stddev < 1e-9) {
+      continue;
+    }
+    double advantage = (rec.reward - mean) / (stddev + 1e-6);
+    bool y = rec.success;
+    double p_new = policy.CurrentSuccessProb(rec.difficulty);
+    double pi_new = y ? p_new : 1.0 - p_new;
+    double behavior = std::clamp(rec.behavior_prob, 1e-6, 1.0 - 1e-6);
+    double pi_behavior = y ? behavior : 1.0 - behavior;
+    double weight = 1.0;
+    double ratio;
+    if (algorithm == RlAlgorithm::kDecoupledPpo) {
+      double prox = std::clamp(policy.SuccessProb(rec.finish_actor_version, rec.difficulty),
+                               1e-6, 1.0 - 1e-6);
+      double pi_prox = y ? prox : 1.0 - prox;
+      weight = std::min(pi_prox / pi_behavior, c.behavior_ratio_cap);
+      ratio = pi_new / pi_prox;
+    } else {
+      ratio = pi_new / pi_behavior;
+    }
+    stats.mean_abs_log_ratio += std::fabs(std::log(std::max(ratio, 1e-9)));
+    if ((advantage > 0.0 && ratio > 1.0 + c.clip_high) ||
+        (advantage < 0.0 && ratio < 1.0 - c.clip_low)) {
+      stats.clip_fraction += 1.0;
+      continue;
+    }
+    std::vector<double> phi = features(rec.difficulty);
+    double scale = weight * advantage * ratio * (y ? 1.0 - p_new : -p_new);
+    for (int j = 0; j < c.num_features; ++j) {
+      grad[j] += scale * phi[j];
+    }
+  }
+  double n = static_cast<double>(minibatch.size());
+  stats.mean_reward /= n;
+  stats.clip_fraction /= n;
+  stats.mean_abs_log_ratio /= n;
+  stats.num_samples = static_cast<int>(minibatch.size());
+  double norm = 0.0;
+  std::vector<double> theta = policy.parameters();
+  for (int j = 0; j < c.num_features; ++j) {
+    grad[j] /= n;
+    norm += grad[j] * grad[j];
+  }
+  stats.grad_norm = std::sqrt(norm);
+  for (int j = 0; j < c.num_features; ++j) {
+    theta[j] += c.learning_rate * grad[j];
+  }
+  return {stats, theta};
+}
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+TEST(PolicyTest, FlatGroupingMatchesMapReference) {
+  for (RlAlgorithm algorithm : {RlAlgorithm::kGrpo, RlAlgorithm::kDecoupledPpo}) {
+    SCOPED_TRACE(RlAlgorithmName(algorithm));
+    // Six times the default step size, so ten published versions move the
+    // policy far enough that stale and mixed records reach the clipped side.
+    PolicyConfig config;
+    config.learning_rate = 0.6;
+    Policy policy{config};
+    Rng rng(31);
+    for (int i = 0; i < 12; ++i) {
+      int v = policy.latest_version();
+      policy.UpdateMinibatch(MakeBatch(policy, rng, 32, 8, v, v), algorithm);
+      policy.PublishVersion();
+    }
+    int v = policy.latest_version();
+    // Multi-member groups, mixed-version and stale (whose proximal version
+    // is old too), singleton groups, and groups whose rewards are all equal
+    // (no GRPO signal).
+    std::vector<TrajectoryRecord> batch = MakeBatch(policy, rng, 16, 6, v - 10, v, true);
+    for (const TrajectoryRecord& rec : MakeBatch(policy, rng, 16, 6, v - 10, v - 10)) {
+      batch.push_back(rec);
+    }
+    for (const TrajectoryRecord& rec : MakeBatch(policy, rng, 10, 1, v - 2, v)) {
+      batch.push_back(rec);
+    }
+    for (int g = 0; g < 4; ++g) {
+      for (TrajectoryRecord rec : MakeBatch(policy, rng, 1, 5, v - 1, v)) {
+        rec.success = g % 2 == 0;
+        rec.reward = rec.success ? 1.0 : 0.0;
+        batch.push_back(rec);
+      }
+    }
+    // Interleave the groups across the batch.
+    rng.Shuffle(batch);
+    // Successive mini-batches, so later updates start from earlier ones.
+    double clipped = 0.0;
+    size_t per_mb = batch.size() / 4;
+    for (size_t m = 0; m < 4; ++m) {
+      std::span<const TrajectoryRecord> mb(batch.data() + m * per_mb,
+                                           m + 1 == 4 ? batch.size() - m * per_mb : per_mb);
+      auto [want, want_theta] = MapReferenceUpdate(policy, mb, algorithm);
+      UpdateStats got = policy.UpdateMinibatch(mb, algorithm);
+      EXPECT_EQ(Bits(got.mean_reward), Bits(want.mean_reward)) << "mini-batch " << m;
+      EXPECT_EQ(Bits(got.clip_fraction), Bits(want.clip_fraction)) << "mini-batch " << m;
+      EXPECT_EQ(Bits(got.mean_abs_log_ratio), Bits(want.mean_abs_log_ratio))
+          << "mini-batch " << m;
+      EXPECT_EQ(Bits(got.grad_norm), Bits(want.grad_norm)) << "mini-batch " << m;
+      EXPECT_EQ(got.num_samples, want.num_samples) << "mini-batch " << m;
+      ASSERT_EQ(policy.parameters().size(), want_theta.size());
+      for (size_t j = 0; j < want_theta.size(); ++j) {
+        EXPECT_EQ(Bits(policy.parameters()[j]), Bits(want_theta[j]))
+            << "mini-batch " << m << " theta[" << j << "]";
+      }
+      clipped += want.clip_fraction;
+      EXPECT_GT(want.grad_norm, 0.0) << "mini-batch " << m;
+    }
+    // The batch reaches the clipped branch too.
+    EXPECT_GT(clipped, 0.0);
+  }
 }
 
 TEST(PolicyTest, SuccessProbMonotoneInDifficulty) {

@@ -1,9 +1,10 @@
 // Allocation regression test for the replica's checkpoint path. A checkpoint
 // is a cursor-plus-owner write into the trajectory store's slot, so once the
 // replica's containers, the store's slab and the engine's event slab have
-// grown to the working-set size, a full admit -> checkpoint -> env boundary
-// -> rejoin -> segment-finish cycle allocates nothing. A counting global
-// operator new (this binary only) makes any regression visible as a count.
+// grown to the working-set size, a full hand-over -> admit -> checkpoint ->
+// env boundary -> rejoin -> segment-finish cycle allocates nothing. A
+// counting global operator new (this binary only) makes any regression
+// visible as a count.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -46,6 +47,7 @@ namespace {
 
 constexpr int kBatch = 16;
 constexpr int kTurns = 6;
+constexpr int kCountedBatches = 8;
 
 // A tool-calling shaped record: every turn but the last ends in a sandbox
 // call whose feedback joins the context. The shape depends on the id's slot
@@ -91,11 +93,11 @@ TEST(ReplicaAllocationTest, SteadyStateCheckpointCycleAllocatesNothing) {
     for (TrajId id = first; id < first + kBatch; ++id) {
       works.push_back(store.Issue(ToolRecord(id)));
     }
-    replica.AssignWork(std::move(works));
     admit_checkpoints = 0;
     env_checkpoints = 0;
     g_allocations = 0;
     g_counting = true;
+    replica.AssignWork(std::move(works));
     sim.RunUntilIdle();
     g_counting = false;
     *allocations = g_allocations.load();
@@ -111,16 +113,22 @@ TEST(ReplicaAllocationTest, SteadyStateCheckpointCycleAllocatesNothing) {
   run_batch(0, &warmup_allocations);
   ASSERT_EQ(store.size(), 0u);
 
-  int64_t allocations = 0;
-  run_batch(kBatch, &allocations);
-  ASSERT_EQ(store.size(), 0u);
-  // The counted run covered the whole cycle: admissions of queued work and
-  // kTurns - 1 sandbox-call boundaries (each a checkpoint, a rejoin and a
-  // segment finish) for every trajectory.
-  EXPECT_EQ(admit_checkpoints, kBatch / 2);
-  EXPECT_EQ(env_checkpoints, kBatch * (kTurns - 1));
-  EXPECT_EQ(allocations, 0) << "heap allocations over "
-                            << admit_checkpoints + env_checkpoints << " checkpoints";
+  // Several counted batches: a queue whose storage drifts through memory (a
+  // node-based deque takes a fresh block every few pushes) cannot hide in
+  // one batch's slack.
+  for (int batch = 1; batch <= kCountedBatches; ++batch) {
+    int64_t allocations = 0;
+    run_batch(batch * kBatch, &allocations);
+    ASSERT_EQ(store.size(), 0u);
+    // The counted run covered the whole cycle: the hand-over into the
+    // waiting queue, the admission of every trajectory (half at once, half as
+    // slots free up) and kTurns - 1 sandbox-call boundaries (each a
+    // checkpoint, a rejoin and a segment finish) for every trajectory.
+    EXPECT_EQ(admit_checkpoints, kBatch);
+    EXPECT_EQ(env_checkpoints, kBatch * (kTurns - 1));
+    EXPECT_EQ(allocations, 0) << "heap allocations in counted batch " << batch << " over "
+                              << admit_checkpoints + env_checkpoints << " checkpoints";
+  }
 }
 
 }  // namespace

@@ -92,7 +92,7 @@ TEST(SnapshotFormatTest, ParseRejectsEveryOtherVersionByNumber) {
   ASSERT_TRUE(ok.Parse(data, &error)) << error;
   // The version is checked before the checksum, so a patched header names
   // the version it carries rather than reading as corruption.
-  for (uint32_t version : {1u, 2u, 3u, 4u, 6u}) {
+  for (uint32_t version : {1u, 2u, 3u, 4u, 5u, 7u}) {
     std::string patched = data;
     for (int i = 0; i < 4; ++i) {
       patched[sizeof(kSnapshotMagic) + i] = static_cast<char>((version >> (8 * i)) & 0xff);

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <string>
+
 #include "src/data/experience_buffer.h"
 #include "src/llm/model_spec.h"
 #include "src/policy/policy.h"
@@ -173,6 +177,81 @@ TEST_F(TrainerTest, IterationRecordsRewardAndMixedFraction) {
   sim_.RunUntilIdle();
   EXPECT_NEAR(trainer.iterations()[0].mean_reward, 0.5, 0.05);
   EXPECT_NEAR(trainer.iterations()[0].mixed_version_fraction, 0.25, 1e-9);
+}
+
+// Runs `iterations` full-batch iterations of `global_batch` records whose
+// generation versions lag the trainer by 0..3, and returns the trainer's
+// checkpoint; `consume` receives its consume-staleness counters.
+std::string CheckpointAfter(int global_batch, int iterations, IntTally* consume) {
+  Simulator sim;
+  ExperienceBuffer buffer(MakeFifoSampler());
+  Policy policy{PolicyConfig{}};
+  TrainerConfig tc;
+  tc.global_batch = global_batch;
+  tc.num_minibatches = 4;
+  tc.auto_continue = false;
+  Trainer trainer(&sim, tc, TrainCostModel(Qwen25_7B(), GpuSpec{}, 8), &buffer, &policy);
+  trainer.set_publish_fn([](int) { return 0.0; });
+  trainer.Start();
+  TrajId next_id = 0;
+  for (int it = 0; it < iterations; ++it) {
+    for (int i = 0; i < global_batch; ++i) {
+      TrajId id = next_id++;
+      buffer.Push(Rec(id, std::max(0, it - static_cast<int>(id % 4)), id / 16));
+    }
+    trainer.NotifyData();
+    sim.RunUntilIdle();
+  }
+  EXPECT_EQ(trainer.version(), iterations);
+  *consume = trainer.consume_staleness();
+  return trainer.Checkpoint();
+}
+
+TEST_F(TrainerTest, CheckpointSizeIndependentOfBatch) {
+  constexpr int kIterations = 5;
+  IntTally small_consume;
+  IntTally large_consume;
+  std::string small = CheckpointAfter(64, kIterations, &small_consume);
+  std::string large = CheckpointAfter(1024, kIterations, &large_consume);
+  EXPECT_EQ(small_consume.count, 64 * kIterations);
+  EXPECT_EQ(large_consume.count, 1024 * kIterations);
+  // The checkpoint holds the iteration history and three staleness counters,
+  // never a per-record sample.
+  EXPECT_EQ(small.size(), large.size());
+}
+
+TEST_F(TrainerTest, CrashRestartKeepsConsumeStalenessExact) {
+  Trainer trainer = MakeTrainer(TrainerMode::kFullBatch, false);
+  trainer.set_publish_fn([](int) { return 0.0; });
+  trainer.Start();
+  // Staleness 0..3 per record: a mean with a fractional part, max 3.
+  int64_t sum = 0;
+  for (int it = 0; it < 4; ++it) {
+    for (int i = 0; i < 64; ++i) {
+      TrajId id = next_id_++;
+      int lag = std::min(it, static_cast<int>(id % 4));
+      sum += lag;
+      buffer_.Push(Rec(id, it - lag, id / 16));
+    }
+    trainer.NotifyData();
+    sim_.RunUntilIdle();
+  }
+  ASSERT_EQ(trainer.version(), 4);
+  const IntTally before = trainer.consume_staleness();
+  EXPECT_EQ(before.count, 4 * 64);
+  EXPECT_EQ(before.sum, sum);
+  EXPECT_EQ(before.max, 3);
+  trainer.CrashRestart(trainer.Checkpoint(), /*recovery_seconds=*/5.0);
+  sim_.RunUntilIdle();
+  EXPECT_FALSE(trainer.dead());
+  EXPECT_EQ(trainer.version(), 4);
+  // The report reads mean = sum / count and max from these counters.
+  const IntTally& after = trainer.consume_staleness();
+  EXPECT_EQ(after.count, before.count);
+  EXPECT_EQ(after.sum, before.sum);
+  EXPECT_EQ(after.max, before.max);
+  EXPECT_EQ(std::bit_cast<uint64_t>(after.mean()), std::bit_cast<uint64_t>(before.mean()));
+  EXPECT_DOUBLE_EQ(after.mean(), static_cast<double>(sum) / (4 * 64));
 }
 
 }  // namespace
