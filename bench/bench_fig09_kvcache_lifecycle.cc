@@ -12,6 +12,7 @@
 #include "src/llm/model_spec.h"
 #include "src/rollout/replica.h"
 #include "src/sim/simulator.h"
+#include "tests/lambda_events.h"
 
 namespace laminar {
 namespace {
@@ -47,7 +48,8 @@ void Run() {
     int waiting;
   };
   std::vector<Sample> samples;
-  PeriodicTask sampler(&sim, 10.0, [&] {
+  LambdaEvents events(&sim);
+  PeriodicTask& sampler = events.Periodic(10.0, [&] {
     ReplicaSnapshot snap = replica.Snapshot();
     samples.push_back({sim.Now().seconds(), snap.kv_used_frac,
                        snap.num_reqs - snap.num_waiting, snap.num_waiting});

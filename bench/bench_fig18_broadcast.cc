@@ -64,7 +64,8 @@ void SimulatedSection() {
       RelayTier tier(&sim, cfg);
       tier.Publish(1);
       if (inject_fault) {
-        sim.ScheduleAfter(1.0, [&tier] { tier.KillRelay(2); });
+        sim.RunUntil(SimTime(1.0));
+        tier.KillRelay(2);
       }
       sim.RunUntilIdle();
       return tier.broadcast_seconds().max();

@@ -18,6 +18,7 @@
 #include "src/rollout/replica.h"
 #include "src/sim/simulator.h"
 #include "src/trainer/trainer.h"
+#include "tests/lambda_events.h"
 
 namespace laminar {
 namespace {
@@ -26,9 +27,10 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
     Simulator sim;
+    LambdaEvents events(&sim);
     int fired = 0;
     for (int i = 0; i < n; ++i) {
-      sim.ScheduleAt(SimTime(static_cast<double>(i % 97)), [&fired] { ++fired; });
+      events.At(SimTime(static_cast<double>(i % 97)), [&fired] { ++fired; });
     }
     sim.RunUntilIdle();
     benchmark::DoNotOptimize(fired);
@@ -41,10 +43,11 @@ void BM_EventQueueCancelHeavy(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
     Simulator sim;
+    LambdaEvents events(&sim);
     std::vector<EventId> ids;
     ids.reserve(n);
     for (int i = 0; i < n; ++i) {
-      ids.push_back(sim.ScheduleAt(SimTime(1.0 + i), [] {}));
+      ids.push_back(events.At(SimTime(1.0 + i), [] {}));
     }
     for (int i = 0; i < n; i += 2) {
       sim.Cancel(ids[i]);

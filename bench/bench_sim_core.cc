@@ -13,13 +13,16 @@
 //                      stresses tombstone reclamation in the heap.
 //  * periodic churn  — many PeriodicTasks ticking (repack checks,
 //                      heartbeats); stresses the rearm path.
+//
+// Every event is a continuation descriptor dispatched through the registry,
+// the one path the simulator has.
 #include "bench/bench_util.h"
 #include <chrono>
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <vector>
 
+#include "src/common/logging.h"
 #include "src/common/rng.h"
 #include "src/common/table.h"
 #include "src/sim/simulator.h"
@@ -39,15 +42,40 @@ struct Result {
   double seconds;
 };
 
+constexpr int32_t kComp = ContinuationComponentId(kContFamilySystem);
+
+// Base of the scenario clients: registers as the simulator's only component.
+class ScenarioClient : public ContinuationClient {
+ public:
+  explicit ScenarioClient(Simulator* sim) : sim_(sim) {
+    sim_->continuations().Register(kComp, this);
+  }
+  ~ScenarioClient() override { sim_->continuations().Unregister(kComp); }
+  void RestoreContinuation(uint16_t, const ContinuationPayload&, SimTime) override {
+    LAMINAR_CHECK(false) << "bench scenarios are never restored";
+  }
+
+ protected:
+  Simulator* sim_;
+};
+
 // Each fired event schedules exactly one successor, keeping `population`
 // events in flight at pseudo-random future times.
+class FireClient : public ScenarioClient {
+ public:
+  explicit FireClient(Simulator* sim) : ScenarioClient(sim), rng_(7) {}
+  void Schedule() { sim_->ScheduleContinuationAfter(rng_.Uniform(0.1, 10.0), kComp, 0); }
+  void RunContinuation(uint16_t, const ContinuationPayload&) override { Schedule(); }
+
+ private:
+  Rng rng_;
+};
+
 Result ScheduleFire(uint64_t target_events, int population) {
   Simulator sim;
-  Rng rng(7);
-  std::function<void()> tick;
-  tick = [&] { sim.ScheduleAfter(rng.Uniform(0.1, 10.0), tick); };
+  FireClient client(&sim);
   for (int i = 0; i < population; ++i) {
-    sim.ScheduleAfter(rng.Uniform(0.1, 10.0), tick);
+    client.Schedule();
   }
   Clock::time_point start = Clock::now();
   sim.RunUntilIdle(target_events);
@@ -56,29 +84,56 @@ Result ScheduleFire(uint64_t target_events, int population) {
 
 // Each fired event schedules a "work" successor and a "timeout" guard, then
 // cancels the previous guard — one Cancel per fire, like heartbeat liveness.
+class CancelClient : public ScenarioClient {
+ public:
+  enum : uint16_t { kWork = 0, kGuard = 1 };
+  CancelClient(Simulator* sim, int population)
+      : ScenarioClient(sim), rng_(11),
+        guards_(static_cast<size_t>(population), kInvalidEventId) {}
+  void ScheduleWork(int slot) {
+    sim_->ScheduleContinuationAfter(rng_.Uniform(0.1, 5.0), kComp, kWork,
+                                    ContinuationPayload::Of(slot));
+  }
+  void RunContinuation(uint16_t kind, const ContinuationPayload& p) override {
+    if (kind == kGuard) {
+      return;
+    }
+    size_t slot = static_cast<size_t>(p.a);
+    ScheduleWork(static_cast<int>(slot));
+    if (guards_[slot] != kInvalidEventId) {
+      sim_->Cancel(guards_[slot]);
+    }
+    guards_[slot] = sim_->ScheduleContinuationAfter(1000.0, kComp, kGuard);
+  }
+
+ private:
+  Rng rng_;
+  std::vector<EventId> guards_;
+};
+
 Result ScheduleCancel(uint64_t target_events, int population) {
   Simulator sim;
-  Rng rng(11);
-  std::vector<EventId> guards(static_cast<size_t>(population), kInvalidEventId);
-  std::function<void(int)> tick = [&](int slot) {
-    sim.ScheduleAfter(rng.Uniform(0.1, 5.0), [&tick, slot] { tick(slot); });
-    if (guards[slot] != kInvalidEventId) {
-      sim.Cancel(guards[slot]);
-    }
-    guards[slot] = sim.ScheduleAfter(1000.0, [] {});
-  };
+  CancelClient client(&sim, population);
   for (int i = 0; i < population; ++i) {
-    sim.ScheduleAfter(rng.Uniform(0.1, 5.0), [&tick, i] { tick(i); });
+    client.ScheduleWork(i);
   }
   Clock::time_point start = Clock::now();
   sim.RunUntilIdle(target_events);
   return {"schedule/cancel", sim.executed_events(), Seconds(start)};
 }
 
+// Fired events do nothing.
+class NoopClient : public ScenarioClient {
+ public:
+  using ScenarioClient::ScenarioClient;
+  void RunContinuation(uint16_t, const ContinuationPayload&) override {}
+};
+
 // 90% of scheduled events never fire: schedule a burst, cancel most of it,
 // step through the survivors. Exercises tombstone skipping and slot reuse.
 Result CancelHeavy(uint64_t target_events) {
   Simulator sim;
+  NoopClient client(&sim);
   Rng rng(13);
   uint64_t scheduled = 0;
   Clock::time_point start = Clock::now();
@@ -87,7 +142,7 @@ Result CancelHeavy(uint64_t target_events) {
   while (sim.executed_events() < target_events) {
     burst.clear();
     for (int i = 0; i < 1000; ++i) {
-      burst.push_back(sim.ScheduleAfter(rng.Uniform(0.1, 10.0), [] {}));
+      burst.push_back(sim.ScheduleContinuationAfter(rng.Uniform(0.1, 10.0), kComp, 0));
       ++scheduled;
     }
     for (size_t i = 0; i < burst.size(); ++i) {
@@ -102,16 +157,31 @@ Result CancelHeavy(uint64_t target_events) {
   return {"cancel-heavy", scheduled, Seconds(start)};
 }
 
-// Many periodic timers with coprime-ish periods ticking concurrently.
+// Many periodic timers with coprime-ish periods ticking concurrently; the
+// tick kind is the task's index.
+class PeriodicClient : public ScenarioClient {
+ public:
+  PeriodicClient(Simulator* sim, int tasks) : ScenarioClient(sim) {
+    pool_.reserve(static_cast<size_t>(tasks));
+    for (int i = 0; i < tasks; ++i) {
+      pool_.push_back(std::make_unique<PeriodicTask>(sim, 0.37 + 0.01 * i, kComp,
+                                                     static_cast<uint16_t>(i),
+                                                     [this] { ++ticks_; }));
+      pool_.back()->Start();
+    }
+  }
+  void RunContinuation(uint16_t kind, const ContinuationPayload&) override {
+    pool_[kind]->Fire();
+  }
+
+ private:
+  uint64_t ticks_ = 0;
+  std::vector<std::unique_ptr<PeriodicTask>> pool_;
+};
+
 Result PeriodicChurn(uint64_t target_events, int tasks) {
   Simulator sim;
-  uint64_t ticks = 0;
-  std::vector<std::unique_ptr<PeriodicTask>> pool;
-  pool.reserve(static_cast<size_t>(tasks));
-  for (int i = 0; i < tasks; ++i) {
-    pool.push_back(std::make_unique<PeriodicTask>(&sim, 0.37 + 0.01 * i, [&] { ++ticks; }));
-    pool.back()->Start();
-  }
+  PeriodicClient client(&sim, tasks);
   Clock::time_point start = Clock::now();
   sim.RunUntilIdle(target_events);
   return {"periodic churn", sim.executed_events(), Seconds(start)};

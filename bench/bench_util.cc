@@ -21,8 +21,22 @@ int g_trace_index = 0;       // per-process trace file counter
 double g_snapshot_at = 0.0;  // 0 = no snapshot barrier
 std::string g_snapshot_out;  // empty = don't write warm-start files
 int g_snapshot_index = 0;    // per-process snapshot file counter
+int g_sweep_next = 0;        // submission index of the next RunSweep config
 bool g_restore_armed = false;
-SnapshotFile g_restore;  // decoded --restore-from file
+bool g_restore_reached = false;  // RunSweep reached g_restore.sweep_index
+SnapshotFile g_restore;          // decoded --restore-from file
+
+// Exit hook of a --restore-from run: a file whose config index the harness
+// never submitted restored nothing, which must not pass for success.
+void CheckRestoreReached() {
+  if (g_restore_reached) {
+    return;
+  }
+  std::fflush(stdout);
+  std::fprintf(stderr, "--restore-from: config #%lld (\"%s\") is not in this harness\n",
+               static_cast<long long>(g_restore.sweep_index), g_restore.scenario_text.c_str());
+  std::_Exit(2);
+}
 
 void LoadRestoreFile(const char* path) {
   std::ifstream in(path, std::ios::binary);
@@ -37,7 +51,13 @@ void LoadRestoreFile(const char* path) {
     std::fprintf(stderr, "--restore-from: %s: %s\n", path, error.c_str());
     std::exit(2);
   }
+  if (g_restore.sweep_index < 0) {
+    std::fprintf(stderr, "--restore-from: %s: not a bench warm-start file (a fuzz "
+                 "scenario's file restores through laminar_fuzz)\n", path);
+    std::exit(2);
+  }
   g_restore_armed = true;
+  std::atexit(CheckRestoreReached);
 }
 
 // "<base>.<NNN><ext>": the `index`-th output file of a --trace-out or
@@ -68,6 +88,77 @@ void CheckOutputDirectory(const char* what, const std::string& path) {
   if (access(dir.c_str(), W_OK | X_OK) != 0) {
     std::fprintf(stderr, "%s: cannot write %s\n", what, path.c_str());
     std::exit(1);
+  }
+}
+
+// --restore-from: arms the blob into the config the file was taken from, the
+// one at the file's submission index, when `configs` (whose first config has
+// submission index `base`) holds it (see bench_util.h).
+void ArmRestore(std::vector<RlSystemConfig>& configs, int base) {
+  int64_t i = g_restore.sweep_index - base;
+  if (i < 0 || i >= static_cast<int64_t>(configs.size())) {
+    return;
+  }
+  g_restore_reached = true;
+  RlSystemConfig& cfg = configs[static_cast<size_t>(i)];
+  const std::string& label = g_restore.scenario_text;
+  if (cfg.Label() != label) {
+    std::fprintf(stderr, "--restore-from: config #%lld is \"%s\", but the file was "
+                 "taken from \"%s\"\n", static_cast<long long>(g_restore.sweep_index),
+                 cfg.Label().c_str(), label.c_str());
+    std::exit(2);
+  }
+  if (cfg.system != SystemKind::kLaminar) {
+    std::fprintf(stderr, "--restore-from: label \"%s\": direct-boot restore supports "
+                 "only laminar\n", label.c_str());
+    std::exit(2);
+  }
+  cfg.restore_from = std::make_shared<const std::string>(g_restore.blob);
+  cfg.snapshot_at_seconds = 0.0;
+}
+
+// Reports a restored run's boot check and, under --snapshot-out, writes the
+// warm-start file of the config with submission index `sweep_index`.
+void MaybeWriteSnapshot(const SystemReport& report, int sweep_index) {
+  if (!report.restored && g_snapshot_at <= 0.0) {
+    return;
+  }
+  if (report.snapshot == nullptr) {
+    std::fprintf(stderr, "snapshot: %s: no snapshot captured (barrier past the "
+                 "end of the run?)\n", report.label.c_str());
+    return;
+  }
+  if (report.restored) {
+    bool bytes_equal = *report.snapshot == g_restore.blob;
+    std::fprintf(stderr, "snapshot: %s: direct-boot restore vs %s at t=%.6g s in "
+                 "%.3f s wall: %zu field mismatch(es), blob %s\n",
+                 report.label.c_str(),
+                 g_restore.scenario_text.empty() ? "(unlabeled)"
+                                                 : g_restore.scenario_text.c_str(),
+                 g_restore.snapshot_at, report.restore_wall_seconds,
+                 report.snapshot_mismatches.size(),
+                 bytes_equal ? "byte-identical" : "DIFFERS");
+    for (const std::string& m : report.snapshot_mismatches) {
+      std::fprintf(stderr, "snapshot:   %s\n", m.c_str());
+    }
+  }
+  if (!g_snapshot_out.empty()) {
+    std::string path = NumberedPath(g_snapshot_out, g_snapshot_index++);
+    SnapshotFile file;
+    file.scenario_text = report.label;
+    file.sweep_index = sweep_index;
+    file.snapshot_at = report.snapshot_taken_at_seconds;
+    file.blob = *report.snapshot;
+    std::ofstream out(path, std::ios::binary);
+    std::string encoded = EncodeSnapshotFile(file);
+    out.write(encoded.data(), static_cast<std::streamsize>(encoded.size()));
+    out.close();
+    if (!out) {
+      std::fprintf(stderr, "snapshot: cannot write %s\n", path.c_str());
+      std::exit(1);
+    }
+    std::fprintf(stderr, "snapshot: %s: %zu bytes at t=%.6g s -> %s\n",
+                 report.label.c_str(), encoded.size(), file.snapshot_at, path.c_str());
   }
 }
 
@@ -110,52 +201,8 @@ bool BenchSnapshotEnabled() {
 }
 
 void ArmSnapshot(RlSystemConfig& cfg) {
-  if (g_restore_armed) {
-    cfg.restore_from = std::make_shared<const std::string>(g_restore.blob);
-  } else if (g_snapshot_at > 0.0) {
+  if (g_snapshot_at > 0.0) {
     cfg.snapshot_at_seconds = g_snapshot_at;
-  }
-}
-
-void MaybeWriteSnapshot(const SystemReport& report) {
-  if (!BenchSnapshotEnabled()) {
-    return;
-  }
-  if (report.snapshot == nullptr) {
-    std::fprintf(stderr, "snapshot: %s: no snapshot captured (barrier past the "
-                 "end of the run?)\n", report.label.c_str());
-    return;
-  }
-  if (g_restore_armed) {
-    bool bytes_equal = *report.snapshot == g_restore.blob;
-    std::fprintf(stderr, "snapshot: %s: direct-boot restore vs %s at t=%.6g s in "
-                 "%.3f s wall: %zu field mismatch(es), blob %s\n",
-                 report.label.c_str(),
-                 g_restore.scenario_text.empty() ? "(unlabeled)"
-                                                 : g_restore.scenario_text.c_str(),
-                 g_restore.snapshot_at, report.restore_wall_seconds,
-                 report.snapshot_mismatches.size(),
-                 bytes_equal ? "byte-identical" : "DIFFERS");
-    for (const std::string& m : report.snapshot_mismatches) {
-      std::fprintf(stderr, "snapshot:   %s\n", m.c_str());
-    }
-  }
-  if (!g_snapshot_out.empty()) {
-    std::string path = NumberedPath(g_snapshot_out, g_snapshot_index++);
-    SnapshotFile file;
-    file.scenario_text = report.label;
-    file.snapshot_at = report.snapshot_taken_at_seconds;
-    file.blob = *report.snapshot;
-    std::ofstream out(path, std::ios::binary);
-    std::string encoded = EncodeSnapshotFile(file);
-    out.write(encoded.data(), static_cast<std::streamsize>(encoded.size()));
-    out.close();
-    if (!out) {
-      std::fprintf(stderr, "snapshot: cannot write %s\n", path.c_str());
-      std::exit(1);
-    }
-    std::fprintf(stderr, "snapshot: %zu bytes at t=%.6g s -> %s\n",
-                 encoded.size(), file.snapshot_at, path.c_str());
   }
 }
 
@@ -200,6 +247,8 @@ RlSystemConfig ConvergenceConfig(SystemKind system, ModelScale scale, int total_
 }
 
 std::vector<SystemReport> RunSweep(const std::vector<RlSystemConfig>& configs) {
+  int base = g_sweep_next;
+  g_sweep_next += static_cast<int>(configs.size());
   if (!BenchTracingEnabled() && !BenchSnapshotEnabled()) {
     return RunExperiments(configs);
   }
@@ -208,10 +257,13 @@ std::vector<SystemReport> RunSweep(const std::vector<RlSystemConfig>& configs) {
     ArmTrace(cfg);
     ArmSnapshot(cfg);
   }
+  if (g_restore_armed) {
+    ArmRestore(armed, base);
+  }
   std::vector<SystemReport> reports = RunExperiments(armed);
-  for (const SystemReport& rep : reports) {
-    MaybeWriteTrace(rep);
-    MaybeWriteSnapshot(rep);
+  for (size_t i = 0; i < reports.size(); ++i) {
+    MaybeWriteTrace(reports[i]);
+    MaybeWriteSnapshot(reports[i], base + static_cast<int>(i));
   }
   return reports;
 }

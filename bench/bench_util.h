@@ -56,13 +56,19 @@ void MaybeWriteTrace(const SystemReport& report);
 // perturbation, so the printed tables are byte-identical with or without it.
 // `--snapshot-out <path>` writes each experiment's snapshot as a
 // "<base>.<NNN><ext>" warm-start file (submission order, like --trace-out).
-// `--restore-from <file>` direct-boots every config from the file's blob:
-// adopt it and re-mint the event heap in wall-clock independent of the
-// barrier time (DESIGN.md §13). A warm-start file that cannot be written is
-// reported on stderr and exits with status 1.
+// `--restore-from <file>` direct-boots the config the file was taken from:
+// the file stores that config's submission index among all the configs the
+// harness passes to RunSweep, and only the config at that index adopts the
+// blob and re-mints the event heap, in wall-clock independent of the barrier
+// time (DESIGN.md §13). Every other config runs from t=0. A file that is not
+// a bench warm-start file exits with status 2 before any experiment runs; a
+// config at that index whose Label() differs from the file's label, or that
+// is not a Laminar config, exits with status 2 naming the label before its
+// grid runs; a harness that never reaches the index exits with status 2 when
+// it ends. A warm-start file that cannot be written is reported on stderr and
+// exits with status 1.
 // All notices and mismatch reports go to stderr; stdout never moves.
 void ArmSnapshot(RlSystemConfig& cfg);
-void MaybeWriteSnapshot(const SystemReport& report);
 bool BenchSnapshotEnabled();
 
 // Prints a section header.

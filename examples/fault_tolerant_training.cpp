@@ -12,6 +12,7 @@
 #include "src/common/table.h"
 #include "src/core/laminar_system.h"
 #include "src/core/run.h"
+#include "src/fault/injector.h"
 
 int main(int argc, char** argv) {
   using namespace laminar;
@@ -33,25 +34,28 @@ int main(int argc, char** argv) {
   cfg.global_batch = 2048;
   cfg.warmup_iterations = 0;
   cfg.measure_iterations = static_cast<int>(flags.GetInt("iters"));
+  cfg.chaos.trainer_recovery_seconds = 90.0;  // checkpoint reload time
 
   auto driver = MakeDriver(cfg);
   auto* system = static_cast<LaminarSystem*>(driver.get());
 
-  // The fault schedule: a rollout machine dies early, the master relay's
-  // machine dies mid-run, and a trainer worker crashes later.
-  system->sim().ScheduleAt(SimTime(60.0), [system] {
-    std::printf("t=60s     injecting: rollout machine 1 power loss\n");
-    system->heartbeats()->MarkDead(1);
-  });
-  system->sim().ScheduleAt(SimTime(250.0), [system] {
-    std::printf("t=250s    injecting: master relay machine failure (master=%d)\n",
-                system->relays()->master());
-    system->heartbeats()->MarkDead(system->relays()->master());
-  });
-  system->sim().ScheduleAt(SimTime(420.0), [system] {
-    std::printf("t=420s    injecting: trainer worker crash (checkpoint recovery)\n");
-    system->trainer().Kill(/*recovery_seconds=*/90.0);
-  });
+  // The fault schedule: a rollout machine dies early, the master relay dies
+  // mid-run, and a trainer worker crashes later. Scripted faults go to the
+  // system's fault injector (which Run() builds) as plain-data events.
+  const FaultEvent schedule[] = {
+      {.at_seconds = 60.0, .kind = FaultKind::kRolloutMachine, .target = 1},
+      {.at_seconds = 250.0, .kind = FaultKind::kMasterRelay},
+      {.at_seconds = 420.0, .kind = FaultKind::kTrainerWorker},
+  };
+  std::printf("Fault schedule:\n");
+  for (const FaultEvent& fault : schedule) {
+    std::printf("  t=%4.0fs  %s", fault.at_seconds, FaultKindName(fault.kind));
+    if (fault.kind == FaultKind::kRolloutMachine) {
+      std::printf(" (machine %d)", fault.target);
+    }
+    std::printf("\n");
+    system->ScheduleFault(fault);
+  }
 
   SystemReport rep = driver->Run();
 

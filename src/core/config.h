@@ -105,9 +105,10 @@ struct RlSystemConfig {
   // component's state from this LMSNAP1 blob, re-mints the pending event heap
   // through the continuation registry and resumes — without replaying the
   // pre-barrier prefix. The restored run must be byte-identical (fingerprint,
-  // trace, ledger, re-snapshot blob) to a run that replayed from t=0. The
-  // blob must carry a complete event heap (heap_complete; the Laminar driver
-  // guarantees it) and, if tracing is on, full-capture mode.
+  // trace, ledger, re-snapshot blob) to a run that replayed from t=0. Only
+  // the Laminar system supports it (Run() stops any other system with a
+  // message naming it); if tracing is on, the blob must be in full-capture
+  // mode.
   std::shared_ptr<const std::string> restore_from;
 
   // Metamorphic scaling knob: multiplies every hardware rate (GPU FLOPs, HBM,

@@ -18,7 +18,10 @@ namespace {
 constexpr int32_t kDriverComp = ContinuationComponentId(kContFamilyDriver);
 }  // namespace
 
-DriverBase::~DriverBase() { sim_.continuations().Unregister(kDriverComp); }
+DriverBase::~DriverBase() {
+  sim_.continuations().Unregister(kDriverComp);
+  sim_.continuations().Unregister(kSystemComp);
+}
 
 void DriverBase::RunContinuation(uint16_t kind, const ContinuationPayload& p) {
   (void)p;
@@ -40,6 +43,7 @@ DriverBase::DriverBase(RlSystemConfig config)
       model_(ModelForScale(cfg_.scale)), root_rng_(cfg_.seed),
       score_rng_(root_rng_.Fork("score")) {
   sim_.continuations().Register(kDriverComp, this);
+  sim_.continuations().Register(kSystemComp, this);
   rollout_tp_ = RolloutTensorParallel(cfg_.system, cfg_.scale);
 
   if (cfg_.trace.enabled) {
@@ -294,6 +298,11 @@ void DriverBase::SampleRates() {
 
 SystemReport DriverBase::Run() {
   auto wall_start = std::chrono::steady_clock::now();
+  // A direct boot needs every component's state in the blob, and only the
+  // Laminar driver serializes its whole system.
+  LAMINAR_CHECK(!restoring() || cfg_.system == SystemKind::kLaminar)
+      << "direct-boot restore supports only laminar, not "
+      << SystemKindName(cfg_.system);
   Setup();
   LAMINAR_CHECK(!replica_ptrs_.empty());
   LAMINAR_CHECK(trainer_ != nullptr);

@@ -29,10 +29,11 @@ class SnapshotTx;
 class DriverBase : public ContinuationClient {
  public:
   // Continuation kinds owned by the driver itself (kContFamilyDriver). The
-  // registry dispatches by virtual call, so a subclass registered under its
-  // own component id still receives these through its override and delegates
-  // back here — the 0xF000 base keeps driver kinds disjoint from any
-  // subclass's kind space.
+  // same object is also registered as the system component
+  // (kContFamilySystem), and the registry dispatches by virtual call, so a
+  // subclass receives these through its RunContinuation override and
+  // delegates back here — the 0xF000 base keeps driver kinds disjoint from
+  // any subclass's kind space.
   enum Continuation : uint16_t {
     kContRateTick = 0xF000,  // periodic throughput/buffer-depth sampling
   };
@@ -115,6 +116,10 @@ class DriverBase : public ContinuationClient {
   // multiply their hard-coded time constants by this.
   double TimeScale() const { return 1.0 / cfg_.hardware_speed; }
 
+  // Component id of the system driver's own pending events; every driver is
+  // registered under it, and subclasses schedule their kinds with it.
+  static constexpr int32_t kSystemComp = ContinuationComponentId(kContFamilySystem);
+
   // True when this run direct-boots from cfg_.restore_from. Setup() methods
   // must not schedule events (scripted faults, initial pumps) in that case:
   // every pending event comes back from the blob's event_heap section.
@@ -171,7 +176,7 @@ class DriverBase : public ContinuationClient {
   // Direct-boot adoption: parses `blob`, walks SnapshotComponents in adopt
   // mode so every component seats its serialized state, then re-mints the
   // pending event heap through the continuation registry. CHECK-fails on a
-  // malformed blob or a non-reconstructible (closure) heap entry.
+  // malformed blob or a heap entry naming an unregistered component.
   void AdoptSnapshot(const std::string& blob);
 
   RunLedger ledger_;  // populated only when cfg_.ledger_enabled

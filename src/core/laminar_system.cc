@@ -7,12 +7,6 @@
 
 namespace laminar {
 
-namespace {
-constexpr int32_t kSystemComp = ContinuationComponentId(kContFamilySystem);
-}  // namespace
-
-LaminarSystem::~LaminarSystem() { sim_.continuations().Unregister(kSystemComp); }
-
 void LaminarSystem::RunContinuation(uint16_t kind, const ContinuationPayload& p) {
   switch (kind) {
     case kContActorPublish:
@@ -67,7 +61,6 @@ void LaminarSystem::RestoreContinuation(uint16_t kind, const ContinuationPayload
 
 void LaminarSystem::Setup() {
   LAMINAR_CHECK(!placement_.colocated);
-  sim_.continuations().Register(kSystemComp, this);
   int num_replicas = placement_.rollout_gpus / rollout_tp_;
   BuildReplicas(num_replicas, rollout_tp_, /*machine_offset=*/0);
 

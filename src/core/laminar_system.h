@@ -34,7 +34,6 @@ class LaminarSystem : public DriverBase {
   };
 
   explicit LaminarSystem(RlSystemConfig config) : DriverBase(std::move(config)) {}
-  ~LaminarSystem() override;
 
   void RunContinuation(uint16_t kind, const ContinuationPayload& p) override;
   void RestoreContinuation(uint16_t kind, const ContinuationPayload& p,

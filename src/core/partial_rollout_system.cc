@@ -4,6 +4,22 @@
 
 namespace laminar {
 
+void PartialRolloutSystem::RunContinuation(uint16_t kind, const ContinuationPayload& p) {
+  switch (kind) {
+    case kContResumeAfterSync:
+      for (RolloutReplica* r : replica_ptrs_) {
+        if (r->phase() == ReplicaPhase::kPaused) {
+          r->Resume(static_cast<int>(p.a), /*recompute_kv=*/true);
+        }
+      }
+      return;
+    case kContRetryTick:
+      retry_task_->Fire();
+      return;
+  }
+  DriverBase::RunContinuation(kind, p);
+}
+
 void PartialRolloutSystem::Setup() {
   LAMINAR_CHECK(!placement_.colocated);
   int num_replicas = placement_.rollout_gpus / rollout_tp_;
@@ -23,21 +39,16 @@ void PartialRolloutSystem::Setup() {
       rollout_wait_seconds_.Add(sync);
       r->Pause();
     }
-    sim_.ScheduleAfter(sync, [this, version] {
-      for (RolloutReplica* r : replica_ptrs_) {
-        if (r->phase() == ReplicaPhase::kPaused) {
-          r->Resume(version, /*recompute_kv=*/true);
-        }
-      }
-    });
+    sim_.ScheduleContinuationAfter(sync, kSystemComp, kContResumeAfterSync,
+                                   ContinuationPayload::Of(version));
     return sync;
   });
 
   for (RolloutReplica* r : replica_ptrs_) {
     r->set_on_batch_done([this](RolloutReplica* replica) { FeedReplica(replica); });
   }
-  retry_task_ =
-      std::make_unique<PeriodicTask>(&sim_, 5.0 * TimeScale(), [this] { RetryStarved(); });
+  retry_task_ = std::make_unique<PeriodicTask>(&sim_, 5.0 * TimeScale(), kSystemComp,
+                                               kContRetryTick, [this] { RetryStarved(); });
 }
 
 void PartialRolloutSystem::FeedReplica(RolloutReplica* replica) {

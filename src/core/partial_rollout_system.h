@@ -17,12 +17,19 @@ namespace laminar {
 
 class PartialRolloutSystem : public DriverBase {
  public:
+  enum Continuation : uint16_t {
+    kContResumeAfterSync = 0,  // broadcast landed: {a=version}
+    kContRetryTick = 1,        // periodic retry of starved replicas
+  };
+
   explicit PartialRolloutSystem(RlSystemConfig config) : DriverBase(std::move(config)) {
     // AReaL trains with its decoupled-PPO correction by default.
     if (cfg_.algorithm == RlAlgorithm::kGrpo) {
       cfg_.algorithm = RlAlgorithm::kDecoupledPpo;
     }
   }
+
+  void RunContinuation(uint16_t kind, const ContinuationPayload& p) override;
 
  protected:
   void Setup() override;

@@ -18,7 +18,13 @@ namespace laminar {
 
 class PipelineSystem : public DriverBase {
  public:
+  enum Continuation : uint16_t {
+    kContRoundResume = 0,  // global weight sync done: open the next round
+  };
+
   explicit PipelineSystem(RlSystemConfig config) : DriverBase(std::move(config)) {}
+
+  void RunContinuation(uint16_t kind, const ContinuationPayload& p) override;
 
  protected:
   void Setup() override;

@@ -33,10 +33,6 @@ uint32_t Simulator::AllocSlot() {
 
 void Simulator::RetireSlot(uint32_t slot) {
   Slot& s = slots_[slot];
-  if (s.fn) {
-    s.fn = nullptr;  // skip the std::function reset churn for descriptor events
-  }
-  s.desc.comp = -1;
   if (++s.generation == 0) {
     s.generation = 1;  // keep packed ids nonzero and unambiguous
   }
@@ -134,34 +130,18 @@ void Simulator::PushHeap(SimTime t, uint32_t slot, uint32_t generation) {
   HeapSiftUp(heap_keys_.size() - 1);
 }
 
-uint32_t Simulator::SchedulePending(SimTime t) {
+EventId Simulator::ScheduleContinuationAt(SimTime t, int32_t comp, uint16_t kind,
+                                          const ContinuationPayload& payload) {
+  LAMINAR_CHECK_GE(comp, 0);
   LAMINAR_CHECK(t >= now_) << "scheduling into the past: " << t.seconds() << " < "
                            << now_.seconds();
   uint32_t slot = AllocSlot();
   Slot& s = slots_[slot];
+  s.desc = ContinuationDesc{comp, kind, payload};
   s.state = SlotState::kPending;
   PushHeap(t, slot, s.generation);
   ++live_;
-  return slot;
-}
-
-EventId Simulator::ScheduleAt(SimTime t, std::function<void()> fn) {
-  uint32_t slot = SchedulePending(t);
-  slots_[slot].fn = std::move(fn);
-  return Pack(slot, slots_[slot].generation);
-}
-
-EventId Simulator::ScheduleAfter(double delay, std::function<void()> fn) {
-  LAMINAR_CHECK(delay >= 0.0) << "negative delay " << delay;
-  return ScheduleAt(now_ + delay, std::move(fn));
-}
-
-EventId Simulator::ScheduleContinuationAt(SimTime t, int32_t comp, uint16_t kind,
-                                          const ContinuationPayload& payload) {
-  LAMINAR_CHECK_GE(comp, 0);
-  uint32_t slot = SchedulePending(t);
-  slots_[slot].desc = ContinuationDesc{comp, kind, payload};
-  return Pack(slot, slots_[slot].generation);
+  return Pack(slot, s.generation);
 }
 
 EventId Simulator::ScheduleContinuationAfter(double delay, int32_t comp, uint16_t kind,
@@ -202,8 +182,8 @@ bool Simulator::Cancel(EventId id) {
     return true;
   }
   if (s.state == SlotState::kRearmed) {
-    // Cancelled from inside its own callback; the closure is out on loan to
-    // Step(), so just undo the re-arm and let Step() retire the slot.
+    // Cancelled from inside its own callback; Step() still holds the slot,
+    // so just undo the re-arm and let Step() retire it.
     if (++s.generation == 0) {
       s.generation = 1;
     }
@@ -256,31 +236,18 @@ bool Simulator::Step() {
     }
     Slot& s = slots_[m.slot];
     s.state = SlotState::kExecuting;
-    // Run the body from locals: the callback may schedule events that grow
-    // the slab (invalidating `s`), cancel its own re-arm, or be the
-    // closure's only owner. Descriptor events copy 40 bytes of POD instead
-    // of moving a closure.
+    // Dispatch from a copy: the callback may schedule events that grow the
+    // slab (invalidating `s`).
     const ContinuationDesc desc = s.desc;
-    std::function<void()> fn;
-    if (desc.comp < 0) {
-      fn = std::move(s.fn);
-    }
     now_ = SimTime(t);
     ++executed_;
     --live_;
     uint32_t prev_current = current_;
     current_ = m.slot;
-    if (desc.comp >= 0) {
-      registry_.Run(desc.comp, desc.kind, desc.payload);
-    } else {
-      fn();
-    }
+    registry_.Run(desc.comp, desc.kind, desc.payload);
     current_ = prev_current;
     Slot& after = slots_[m.slot];
     if (after.state == SlotState::kRearmed) {
-      if (desc.comp < 0) {
-        after.fn = std::move(fn);  // hand the closure back for the next firing
-      }
       after.state = SlotState::kPending;
     } else {
       RetireSlot(m.slot);
@@ -379,17 +346,12 @@ void Simulator::Snapshot(SnapshotTx& tx) {
   };
   std::vector<Entry> entries;
   entries.reserve(live_);
-  bool complete = true;
   for (size_t i = 0; i < heap_meta_.size(); ++i) {
     const HeapMeta& m = heap_meta_[i];
     if (!Live(m)) {
       continue;
     }
-    const Slot& s = slots_[m.slot];
-    entries.push_back(Entry{heap_keys_[i], m.seq, s.desc});
-    if (s.desc.comp < 0) {
-      complete = false;
-    }
+    entries.push_back(Entry{heap_keys_[i], m.seq, slots_[m.slot].desc});
   }
   LAMINAR_CHECK_EQ(entries.size(), live_);
   std::sort(entries.begin(), entries.end(), [](const Entry& x, const Entry& y) {
@@ -397,8 +359,6 @@ void Simulator::Snapshot(SnapshotTx& tx) {
   });
   uint64_t live_u = static_cast<uint64_t>(live_);
   tx.U64("live_events", &live_u);
-  bool complete_b = complete;
-  tx.Bool("heap_complete", &complete_b);
   std::string packed;
   packed.reserve(entries.size() * kHeapEntryBytes);
   for (const Entry& e : entries) {
@@ -433,17 +393,9 @@ void Simulator::RemintRestoredEvents() {
   std::vector<RestoredEvent> entries = std::move(restored_);
   restored_.clear();
   for (const RestoredEvent& e : entries) {
-    LAMINAR_CHECK_GE(e.desc.comp, 0)
-        << "snapshot contains a non-reconstructible (closure) event; "
-           "direct-boot restore requires continuation descriptors";
     registry_.Require(e.desc.comp)
         .RestoreContinuation(e.desc.kind, e.desc.payload, SimTime(KeyTime(e.key)));
   }
-}
-
-PeriodicTask::PeriodicTask(Simulator* sim, double period, std::function<void()> fn)
-    : sim_(sim), period_(period), fn_(std::move(fn)) {
-  LAMINAR_CHECK_GT(period_, 0.0);
 }
 
 PeriodicTask::PeriodicTask(Simulator* sim, double period, int32_t comp, uint16_t kind,
@@ -460,13 +412,10 @@ void PeriodicTask::Start() {
     return;
   }
   running_ = true;
-  pending_ = comp_ >= 0
-                 ? sim_->ScheduleContinuationAfter(period_, comp_, kind_)
-                 : sim_->ScheduleAfter(period_, [this] { Tick(); });
+  pending_ = sim_->ScheduleContinuationAfter(period_, comp_, kind_);
 }
 
 void PeriodicTask::RestorePending(SimTime at) {
-  LAMINAR_CHECK_GE(comp_, 0) << "RestorePending on a closure-based PeriodicTask";
   if (pending_ != kInvalidEventId) {
     sim_->Cancel(pending_);
   }

@@ -40,19 +40,14 @@ class Simulator {
 
   SimTime Now() const { return now_; }
 
-  // Schedules `fn` to run at absolute time `t` (>= Now()). Returns an id that
-  // can be passed to Cancel() until the event fires.
-  EventId ScheduleAt(SimTime t, std::function<void()> fn);
-  // Schedules `fn` after `delay` seconds (>= 0).
-  EventId ScheduleAfter(double delay, std::function<void()> fn);
-
-  // Data-only scheduling (DESIGN.md §13): instead of a closure the event
-  // stores a (component, kind, payload) descriptor dispatched through the
-  // continuation registry when it fires. Descriptor events serialize into
-  // the snapshot's event_heap section, which is what makes direct-boot
-  // restore possible; persistent scheduling paths must use these overloads.
+  // Every event is a (component, kind, payload) descriptor dispatched through
+  // the continuation registry when it fires (DESIGN.md §13). Descriptors are
+  // plain data, so the live heap serializes into the snapshot's event_heap
+  // section and a direct boot re-mints it. Returns an id that can be passed
+  // to Cancel() until the event fires.
   EventId ScheduleContinuationAt(SimTime t, int32_t comp, uint16_t kind,
                                  const ContinuationPayload& payload = {});
+  // Schedules after `delay` seconds (>= 0).
   EventId ScheduleContinuationAfter(double delay, int32_t comp, uint16_t kind,
                                     const ContinuationPayload& payload = {});
 
@@ -62,9 +57,9 @@ class Simulator {
   const ContinuationRegistry& continuations() const { return registry_; }
 
   // Re-schedules the event whose callback is currently executing to fire
-  // again after `delay` seconds, reusing its stored closure — no new
-  // std::function is constructed. Only valid inside an event callback.
-  // Returns the id of the re-armed event (cancellable like any other).
+  // again after `delay` seconds with the same descriptor, reusing its slot.
+  // Only valid inside an event callback. Returns the id of the re-armed
+  // event (cancellable like any other).
   EventId RearmCurrentAfter(double delay);
 
   // Cancels a pending event. Returns true if the event was still pending.
@@ -124,8 +119,8 @@ class Simulator {
 
   // Re-schedules every stashed snapshot entry through the continuation
   // registry in canonical order, so the re-minted heap pops in exactly the
-  // blob's order. CHECK-fails if the blob contained a non-reconstructible
-  // (closure) event.
+  // blob's order. CHECK-fails on an entry whose component is not
+  // registered (a negative or unknown id).
   void RemintRestoredEvents();
   size_t restored_events_pending() const { return restored_.size(); }
 
@@ -133,16 +128,16 @@ class Simulator {
   enum class SlotState : uint8_t {
     kFree,       // on the free list
     kPending,    // scheduled, heap entry live
-    kExecuting,  // callback running right now (closure moved out)
+    kExecuting,  // callback running right now
     kRearmed,    // re-scheduled from inside its own callback
   };
 
   struct Slot {
-    std::function<void()> fn;
-    ContinuationDesc desc;  // comp >= 0: data-only event, fn unused
+    ContinuationDesc desc;
     uint32_t generation = 1;
     SlotState state = SlotState::kFree;
   };
+  static_assert(sizeof(Slot) == 48, "event slot should stay 6 words");
 
   // One live heap entry read back from a snapshot, awaiting re-mint.
   struct RestoredEvent {
@@ -189,9 +184,6 @@ class Simulator {
            (s.state == SlotState::kPending || s.state == SlotState::kRearmed);
   }
 
-  // Allocates a pending slot and pushes its heap entry; returns the slot.
-  uint32_t SchedulePending(SimTime t);
-
   uint32_t AllocSlot();
   void RetireSlot(uint32_t slot);
   void PushHeap(SimTime t, uint32_t slot, uint32_t generation);
@@ -222,16 +214,14 @@ class Simulator {
 
 // A repeating timer: runs `fn` every `period` seconds starting at
 // `start + period` until Stop() or the owner is destroyed. Used for
-// heartbeats and the rollout manager's periodic repack check. Each tick
-// re-arms the simulator's stored event record in place (RearmCurrentAfter),
-// so steady-state ticking allocates nothing.
+// heartbeats and the rollout manager's periodic repack check. The tick event
+// carries (comp, kind) and the owning component's RunContinuation must route
+// that kind to Fire(); the pending tick serializes into the event_heap
+// section and comes back through RestorePending() on direct boot. Each tick
+// re-arms the simulator's event slot in place (RearmCurrentAfter), so
+// steady-state ticking allocates nothing.
 class PeriodicTask {
  public:
-  PeriodicTask(Simulator* sim, double period, std::function<void()> fn);
-  // Reconstructible variant: the tick event carries (comp, kind) and the
-  // owning component's RunContinuation must route that kind to Fire(). Such
-  // tasks serialize their pending tick into the event_heap section and
-  // support RestorePending() on direct boot.
   PeriodicTask(Simulator* sim, double period, int32_t comp, uint16_t kind,
                std::function<void()> fn);
   ~PeriodicTask();

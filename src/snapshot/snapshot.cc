@@ -426,6 +426,7 @@ std::string EncodeSnapshotFile(const SnapshotFile& file) {
   SnapshotWriter w;
   w.BeginSection("snapshot-file");
   w.Bytes("scenario", file.scenario_text);
+  w.I64("sweep_index", file.sweep_index);
   w.F64("snapshot_at", file.snapshot_at);
   w.Bytes("blob", file.blob);
   w.EndSection();
@@ -438,6 +439,7 @@ bool DecodeSnapshotFile(const std::string& data, SnapshotFile* out, std::string*
   SnapshotTx tx(&r, SnapshotMode::kAdopt);
   tx.Begin("snapshot-file");
   tx.Bytes("scenario", &out->scenario_text);
+  tx.I64("sweep_index", &out->sweep_index);
   tx.F64("snapshot_at", &out->snapshot_at);
   tx.Bytes("blob", &out->blob);
   tx.End();

@@ -56,9 +56,10 @@ inline constexpr char kSnapshotMagic[8] = {'L', 'M', 'S', 'N', 'A', 'P', '1', '\
 // TrajId; v4 writes the rollout manager's counters as named records; v5
 // writes each in-flight record once, in the trajectory store, and cursors
 // everywhere else; v6 writes the trainer's and the driver's staleness as
-// (count, sum, max) counters in place of every sample. The reader accepts
-// exactly this version; any other stops at parse.
-inline constexpr uint32_t kSnapshotVersion = 6;
+// (count, sum, max) counters in place of every sample; v7 drops the
+// simulator's heap-completeness flag (every event is a continuation). The
+// reader accepts exactly this version; any other stops at parse.
+inline constexpr uint32_t kSnapshotVersion = 7;
 
 // Record kinds in the LMSNAP1 stream.
 enum class SnapshotRecordKind : uint8_t {
@@ -218,10 +219,14 @@ inline double SnapshotBitsF64(uint64_t bits) {
 
 // Warm-start snapshot files (laminar_fuzz --snapshot-out / --restore-from,
 // bench --snapshot-out): an outer LMSNAP1 stream with one "snapshot-file"
-// section carrying the scenario text (may be empty for bench configs), the
-// snapshot time, and the inner driver-level snapshot blob.
+// section carrying the scenario text (a fuzz scenario, or a bench config's
+// Label()), the bench config's submission index, the snapshot time, and the
+// inner driver-level snapshot blob.
 struct SnapshotFile {
   std::string scenario_text;
+  // Position of the bench config among every config its harness submits to
+  // RunSweep, in submission order; -1 for a fuzz scenario.
+  int64_t sweep_index = -1;
   double snapshot_at = 0.0;
   std::string blob;
 };

@@ -6,6 +6,7 @@
 // barrier from t=0 and must land on the same bytes.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -173,6 +174,29 @@ TEST(DirectBootTest, SnapshotInsideStallWindowResumesByteIdentical) {
   EXPECT_EQ(RunFingerprint(r), want) << "direct boot diverged out of the stall";
 }
 
+// Direct boot is Laminar-only: the baseline drivers do not serialize their
+// orchestration state, so restoring one must stop before Setup with a
+// message naming the system instead of running on a half-adopted state.
+TEST(DirectBootDeathTest, BaselineSystemsStopWithANamedMessage) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (SystemKind system : {SystemKind::kVerlSync, SystemKind::kOneStep,
+                            SystemKind::kStreamGen, SystemKind::kPartialRollout}) {
+    RlSystemConfig cfg = RestoreConfig();
+    cfg.system = system;
+    cfg.snapshot_at_seconds = 100.0;
+    SystemReport snapped = RunExperiment(cfg);
+    ASSERT_NE(snapped.snapshot, nullptr) << SystemKindName(system);
+
+    RlSystemConfig boot = cfg;
+    boot.snapshot_at_seconds = 0.0;
+    boot.restore_from = snapped.snapshot;
+    EXPECT_DEATH(RunExperiment(boot),
+                 std::string("direct-boot restore supports only laminar, not ") +
+                     SystemKindName(system))
+        << SystemKindName(system);
+  }
+}
+
 // Minimal continuation client owning one reconstructible PeriodicTask;
 // records the sim time of every fire so cadences can be compared across a
 // snapshot/adopt boundary.
@@ -256,6 +280,59 @@ TEST(DirectBootTest, RearmedPeriodicTickSurvivesSnapshotAtBarrier) {
   boot.RunUntil(SimTime(5.5));
   EXPECT_EQ(rec.fires(), std::vector<double>({1.0, 2.0, 3.0, 4.0, 5.0}));
   EXPECT_EQ(boot_rec.fires(), std::vector<double>({2.0, 3.0, 4.0, 5.0}));
+}
+
+// A blob's event_heap entry names its component by id. An id no client is
+// registered under — unknown, or negative as only a corrupt blob can carry —
+// stops the re-mint instead of dropping the event.
+TEST(DirectBootDeathTest, RemintRejectsUnregisteredComponents) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // A one-event `sim` section: a TickRecorder tick at t=2 owned by `comp`.
+  auto blob_with_comp = [](uint32_t comp) {
+    std::string entry(48, '\0');
+    uint64_t key = std::bit_cast<uint64_t>(2.0);
+    for (int i = 0; i < 8; ++i) {
+      entry[i] = static_cast<char>(key >> (8 * i));
+    }
+    for (int i = 0; i < 4; ++i) {
+      entry[8 + i] = static_cast<char>(comp >> (8 * i));
+    }
+    entry[12] = static_cast<char>(TickRecorder::kTick & 0xFF);
+    entry[13] = static_cast<char>(TickRecorder::kTick >> 8);
+    SnapshotWriter w;
+    w.BeginSection("sim");
+    w.F64("now", 1.5);
+    w.U64("executed", 1);
+    w.U64("live_events", 1);
+    w.Bytes("event_heap", entry);
+    w.EndSection();
+    return w.Finish();
+  };
+  auto adopt = [](Simulator& sim, const std::string& blob) {
+    SnapshotReader reader;
+    std::string error;
+    ASSERT_TRUE(reader.Parse(blob, &error)) << error;
+    SnapshotTx tx(&reader, SnapshotMode::kAdopt);
+    sim.Snapshot(tx);
+    ASSERT_TRUE(tx.mismatches().empty()) << tx.mismatches().front();
+  };
+
+  // Control: with the owner registered the entry re-mints and fires.
+  const uint32_t recorder_comp = ContinuationComponentId(kContFamilySystem, 99);
+  Simulator ok;
+  TickRecorder rec(&ok);
+  adopt(ok, blob_with_comp(recorder_comp));
+  ok.RemintRestoredEvents();
+  ok.RunUntil(SimTime(2.5));
+  EXPECT_EQ(rec.fires(), std::vector<double>({2.0}));
+
+  Simulator unknown;
+  adopt(unknown, blob_with_comp(recorder_comp));
+  EXPECT_DEATH(unknown.RemintRestoredEvents(), "no continuation client for component 99");
+
+  Simulator negative;
+  adopt(negative, blob_with_comp(0xFFFFFFFFu));
+  EXPECT_DEATH(negative.RemintRestoredEvents(), "no continuation client for component -1");
 }
 
 }  // namespace

@@ -9,16 +9,18 @@
 
 #include "src/common/rng.h"
 #include "src/sim/channel.h"
+#include "tests/lambda_events.h"
 
 namespace laminar {
 namespace {
 
 TEST(SimulatorTest, ExecutesInTimeOrder) {
   Simulator sim;
+  LambdaEvents ev(&sim);
   std::vector<int> order;
-  sim.ScheduleAt(SimTime(3.0), [&] { order.push_back(3); });
-  sim.ScheduleAt(SimTime(1.0), [&] { order.push_back(1); });
-  sim.ScheduleAt(SimTime(2.0), [&] { order.push_back(2); });
+  ev.At(SimTime(3.0), [&] { order.push_back(3); });
+  ev.At(SimTime(1.0), [&] { order.push_back(1); });
+  ev.At(SimTime(2.0), [&] { order.push_back(2); });
   sim.RunUntilIdle();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_DOUBLE_EQ(sim.Now().seconds(), 3.0);
@@ -26,9 +28,10 @@ TEST(SimulatorTest, ExecutesInTimeOrder) {
 
 TEST(SimulatorTest, TiesBreakInSchedulingOrder) {
   Simulator sim;
+  LambdaEvents ev(&sim);
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
-    sim.ScheduleAt(SimTime(1.0), [&order, i] { order.push_back(i); });
+    ev.At(SimTime(1.0), [&order, i] { order.push_back(i); });
   }
   sim.RunUntilIdle();
   for (int i = 0; i < 10; ++i) {
@@ -39,17 +42,18 @@ TEST(SimulatorTest, TiesBreakInSchedulingOrder) {
   // Step() calls, and by RearmCurrentAfter share one schedule sequence:
   // they fire in the order they were scheduled, whoever scheduled them.
   Simulator s2;
+  LambdaEvents ev2(&s2);
   std::vector<std::string> fired;
   const SimTime t2(2.0);
-  s2.ScheduleAt(SimTime(1.0), [&] {
+  ev2.At(SimTime(1.0), [&] {
     fired.push_back("a");
-    s2.ScheduleAt(t2, [&] {
+    ev2.At(t2, [&] {
       fired.push_back("from_a");
-      s2.ScheduleAfter(0.0, [&] { fired.push_back("from_a_at_t2"); });
+      ev2.After(0.0, [&] { fired.push_back("from_a_at_t2"); });
     });
   });
   bool rearmed = false;
-  s2.ScheduleAt(SimTime(1.0), [&] {
+  ev2.At(SimTime(1.0), [&] {
     fired.push_back(rearmed ? "rearm" : "r");
     if (!rearmed) {
       rearmed = true;
@@ -57,9 +61,9 @@ TEST(SimulatorTest, TiesBreakInSchedulingOrder) {
     }
   });
   ASSERT_TRUE(s2.Step());  // a: schedules from_a
-  s2.ScheduleAt(t2, [&] { fired.push_back("top_1"); });
+  ev2.At(t2, [&] { fired.push_back("top_1"); });
   ASSERT_TRUE(s2.Step());  // r: re-arms itself for t2
-  s2.ScheduleAt(t2, [&] { fired.push_back("top_2"); });
+  ev2.At(t2, [&] { fired.push_back("top_2"); });
   s2.RunUntilIdle();
   EXPECT_EQ(fired, (std::vector<std::string>{"a", "r", "from_a", "top_1", "rearm",
                                              "top_2", "from_a_at_t2"}));
@@ -67,8 +71,9 @@ TEST(SimulatorTest, TiesBreakInSchedulingOrder) {
 
 TEST(SimulatorTest, CancelPreventsExecution) {
   Simulator sim;
+  LambdaEvents ev(&sim);
   bool fired = false;
-  EventId id = sim.ScheduleAt(SimTime(1.0), [&] { fired = true; });
+  EventId id = ev.At(SimTime(1.0), [&] { fired = true; });
   EXPECT_TRUE(sim.IsPending(id));
   EXPECT_TRUE(sim.Cancel(id));
   EXPECT_FALSE(sim.Cancel(id));  // double cancel is a no-op
@@ -78,9 +83,10 @@ TEST(SimulatorTest, CancelPreventsExecution) {
 
 TEST(SimulatorTest, RunUntilStopsAtDeadline) {
   Simulator sim;
+  LambdaEvents ev(&sim);
   int count = 0;
   for (int i = 1; i <= 10; ++i) {
-    sim.ScheduleAt(SimTime(i), [&] { ++count; });
+    ev.At(SimTime(i), [&] { ++count; });
   }
   sim.RunUntil(SimTime(5.5));
   EXPECT_EQ(count, 5);
@@ -91,13 +97,14 @@ TEST(SimulatorTest, RunUntilStopsAtDeadline) {
 
 TEST(SimulatorTest, EventsCanScheduleEvents) {
   Simulator sim;
+  LambdaEvents ev(&sim);
   int depth = 0;
   std::function<void()> chain = [&] {
     if (++depth < 100) {
-      sim.ScheduleAfter(0.5, chain);
+      ev.After(0.5, chain);
     }
   };
-  sim.ScheduleAfter(0.5, chain);
+  ev.After(0.5, chain);
   sim.RunUntilIdle();
   EXPECT_EQ(depth, 100);
   EXPECT_DOUBLE_EQ(sim.Now().seconds(), 50.0);
@@ -105,9 +112,10 @@ TEST(SimulatorTest, EventsCanScheduleEvents) {
 
 TEST(SimulatorTest, RunUntilTrueStopsEarly) {
   Simulator sim;
+  LambdaEvents ev(&sim);
   int count = 0;
   for (int i = 1; i <= 10; ++i) {
-    sim.ScheduleAt(SimTime(i), [&] { ++count; });
+    ev.At(SimTime(i), [&] { ++count; });
   }
   EXPECT_TRUE(sim.RunUntilTrue([&] { return count == 3; }));
   EXPECT_EQ(count, 3);
@@ -117,9 +125,10 @@ TEST(SimulatorTest, RunUntilTrueStopsEarly) {
 
 TEST(SimulatorTest, ZeroDelayRunsAtCurrentTime) {
   Simulator sim;
+  LambdaEvents ev(&sim);
   double at = -1.0;
-  sim.ScheduleAt(SimTime(2.0), [&] {
-    sim.ScheduleAfter(0.0, [&] { at = sim.Now().seconds(); });
+  ev.At(SimTime(2.0), [&] {
+    ev.After(0.0, [&] { at = sim.Now().seconds(); });
   });
   sim.RunUntilIdle();
   EXPECT_DOUBLE_EQ(at, 2.0);
@@ -127,8 +136,9 @@ TEST(SimulatorTest, ZeroDelayRunsAtCurrentTime) {
 
 TEST(PeriodicTaskTest, FiresAtPeriodUntilStopped) {
   Simulator sim;
+  LambdaEvents ev(&sim);
   int ticks = 0;
-  PeriodicTask task(&sim, 2.0, [&] { ++ticks; });
+  PeriodicTask& task = ev.Periodic(2.0, [&] { ++ticks; });
   task.Start();
   sim.RunUntil(SimTime(9.0));
   EXPECT_EQ(ticks, 4);  // t = 2, 4, 6, 8
@@ -139,10 +149,10 @@ TEST(PeriodicTaskTest, FiresAtPeriodUntilStopped) {
 
 TEST(PeriodicTaskTest, StopInsideCallbackHalts) {
   Simulator sim;
+  LambdaEvents ev(&sim);
   int ticks = 0;
-  PeriodicTask task(&sim, 1.0, [&] { ++ticks; });
-  PeriodicTask* ptr = &task;
-  PeriodicTask stopper(&sim, 3.5, [&, ptr] { ptr->Stop(); });
+  PeriodicTask& task = ev.Periodic(1.0, [&] { ++ticks; });
+  PeriodicTask& stopper = ev.Periodic(3.5, [&] { task.Stop(); });
   task.Start();
   stopper.Start();
   sim.RunUntil(SimTime(10.0));
@@ -151,9 +161,10 @@ TEST(PeriodicTaskTest, StopInsideCallbackHalts) {
 
 TEST(SimulatorTest, CancelOwnRearmInsideCallback) {
   Simulator sim;
+  LambdaEvents ev(&sim);
   int fires = 0;
   EventId rearmed = kInvalidEventId;
-  sim.ScheduleAfter(1.0, [&] {
+  ev.After(1.0, [&] {
     ++fires;
     rearmed = sim.RearmCurrentAfter(1.0);
     EXPECT_TRUE(sim.IsPending(rearmed));
@@ -169,12 +180,13 @@ TEST(SimulatorTest, CancelOwnRearmInsideCallback) {
 // itself must keep the re-armed entry (it is live, not a tombstone).
 TEST(SimulatorTest, CompactionPreservesRearmedEvent) {
   Simulator sim;
+  LambdaEvents ev(&sim);
   std::vector<EventId> victims;
   for (int i = 0; i < 300; ++i) {
-    victims.push_back(sim.ScheduleAfter(50.0, [] {}));
+    victims.push_back(ev.After(50.0, [] {}));
   }
   int fires = 0;
-  sim.ScheduleAfter(1.0, [&] {
+  ev.After(1.0, [&] {
     if (++fires == 1) {
       sim.RearmCurrentAfter(1.0);
       // Mass-cancel drives tombstones past the compaction threshold while
@@ -194,6 +206,7 @@ TEST(SimulatorTest, CompactionPreservesRearmedEvent) {
 // determinism contract the parallel sweep (src/exp/sweep.h) relies on.
 std::vector<std::pair<double, int>> CancelChurnTrace(uint64_t seed) {
   Simulator sim;
+  LambdaEvents ev(&sim);
   Rng rng(seed);
   std::vector<std::pair<double, int>> trace;
   std::vector<EventId> pending;
@@ -205,7 +218,7 @@ std::vector<std::pair<double, int>> CancelChurnTrace(uint64_t seed) {
     int n = static_cast<int>(rng.UniformInt(0, 3));
     for (int i = 0; i < n; ++i) {
       ++next_label;
-      pending.push_back(sim.ScheduleAfter(rng.Uniform(0.0, 5.0), spawn));
+      pending.push_back(ev.After(rng.Uniform(0.0, 5.0), spawn));
     }
     if (!pending.empty() && rng.Bernoulli(0.5)) {
       size_t victim = static_cast<size_t>(
@@ -215,7 +228,7 @@ std::vector<std::pair<double, int>> CancelChurnTrace(uint64_t seed) {
     }
   };
   for (int i = 0; i < 64; ++i) {
-    pending.push_back(sim.ScheduleAfter(rng.Uniform(0.0, 5.0), spawn));
+    pending.push_back(ev.After(rng.Uniform(0.0, 5.0), spawn));
   }
   sim.RunUntilIdle(20000);
   return trace;
@@ -236,13 +249,14 @@ TEST(SimulatorTest, ExecutionOrderIsBitIdenticalAcrossRuns) {
 // let tombstones accumulate without bound.
 TEST(SimulatorTest, CancelledEventsDoNotLeakPoolSlots) {
   Simulator sim;
+  LambdaEvents ev(&sim);
   Rng rng(7);
   constexpr int kBurst = 1000;
   std::vector<EventId> burst;
   for (int round = 0; round < 200; ++round) {
     burst.clear();
     for (int i = 0; i < kBurst; ++i) {
-      burst.push_back(sim.ScheduleAfter(rng.Uniform(0.1, 10.0), [] {}));
+      burst.push_back(ev.After(rng.Uniform(0.1, 10.0), [] {}));
     }
     for (size_t i = 0; i < burst.size(); ++i) {
       if (i % 10 != 0) {  // cancel 90%

@@ -92,7 +92,7 @@ TEST(SnapshotFormatTest, ParseRejectsEveryOtherVersionByNumber) {
   ASSERT_TRUE(ok.Parse(data, &error)) << error;
   // The version is checked before the checksum, so a patched header names
   // the version it carries rather than reading as corruption.
-  for (uint32_t version : {1u, 2u, 3u, 4u, 5u, 7u}) {
+  for (uint32_t version : {1u, 2u, 3u, 4u, 5u, 6u, 8u}) {
     std::string patched = data;
     for (int i = 0; i < 4; ++i) {
       patched[sizeof(kSnapshotMagic) + i] = static_cast<char>((version >> (8 * i)) & 0xff);
@@ -207,6 +207,7 @@ TEST(SnapshotTxTest, RngStateRoundTripsThroughAdopt) {
 TEST(SnapshotFileTest, WarmStartFileRoundTripsAndRejectsTampering) {
   SnapshotFile file;
   file.scenario_text = "# laminar fuzz scenario v1\nseed=7\n";
+  file.sweep_index = 5;
   file.snapshot_at = 123.5;
   file.blob = std::string("inner\0blob", 10);
   std::string encoded = EncodeSnapshotFile(file);
@@ -215,6 +216,7 @@ TEST(SnapshotFileTest, WarmStartFileRoundTripsAndRejectsTampering) {
   std::string error;
   ASSERT_TRUE(DecodeSnapshotFile(encoded, &back, &error)) << error;
   EXPECT_EQ(back.scenario_text, file.scenario_text);
+  EXPECT_EQ(back.sweep_index, 5);
   EXPECT_EQ(back.snapshot_at, file.snapshot_at);
   EXPECT_EQ(back.blob, file.blob);
 

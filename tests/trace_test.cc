@@ -14,6 +14,7 @@
 #include "src/trace/query.h"
 #include "src/trace/trace.h"
 #include "src/trace/trace_io.h"
+#include "tests/lambda_events.h"
 
 namespace laminar {
 namespace {
@@ -106,14 +107,15 @@ TEST(TraceSinkTest, StampsEventsWithSimulatorTime) {
   config.enabled = true;
   TraceSink sink(&sim, config);
   sim.set_trace(&sink);
+  LambdaEvents ev(&sim);
 
-  sim.ScheduleAt(SimTime(2.0), [&] {
+  ev.At(SimTime(2.0), [&] {
     LAMINAR_TRACE_INSTANT(&sim, TraceComponent::kTrainer, "t/pub", -1, 7);
   });
-  sim.ScheduleAt(SimTime(5.0), [&] {
+  ev.At(SimTime(5.0), [&] {
     LAMINAR_TRACE_SPAN(&sim, TraceComponent::kReplica, "r/busy", 3, SimTime(4.0), 0, 1.5);
   });
-  sim.ScheduleAt(SimTime(6.0), [&] {
+  ev.At(SimTime(6.0), [&] {
     LAMINAR_TRACE_COUNTER(&sim, TraceComponent::kData, "d/depth", -1, 42.0);
   });
   sim.RunUntilIdle();
@@ -144,7 +146,8 @@ TEST(TraceSinkTest, RetroactiveSpanTakesExplicitEnd) {
   sim.set_trace(&sink);
   // Emitted at t=10 but describing [1, 3): the pattern the trainer uses for
   // per-iteration phase spans reconstructed after the fact.
-  sim.ScheduleAt(SimTime(10.0), [&] {
+  LambdaEvents ev(&sim);
+  ev.At(SimTime(10.0), [&] {
     LAMINAR_TRACE_SPAN_AT(&sim, TraceComponent::kTrainer, "t/train", -1, SimTime(1.0),
                           SimTime(3.0), 5);
   });
@@ -185,8 +188,9 @@ TraceBuffer BuildSampleBuffer(size_t ring_capacity = 0) {
   config.ring_capacity = ring_capacity;
   TraceSink sink(&sim, config);
   sim.set_trace(&sink);
+  LambdaEvents ev(&sim);
   for (int i = 0; i < 20; ++i) {
-    sim.ScheduleAt(SimTime(0.5 * i), [&sim, i] {
+    ev.At(SimTime(0.5 * i), [&sim, i] {
       switch (i % 3) {
         case 0:
           LAMINAR_TRACE_INSTANT(&sim, TraceComponent::kTrainer, "trainer/publish", -1, i);
@@ -315,25 +319,26 @@ class TraceQueryTest : public ::testing::Test {
     //   t=8 instant  trainer/publish arg=2
     //   t=9 span     trainer/train over [2, 9)   (retroactive: emitted last,
     //                                             earliest begin)
-    sim_.ScheduleAt(SimTime(1.0), [this] {
+    LambdaEvents ev(&sim_);
+    ev.At(SimTime(1.0), [this] {
       LAMINAR_TRACE_INSTANT(&sim_, TraceComponent::kTrainer, "trainer/publish", -1, 1);
     });
-    sim_.ScheduleAt(SimTime(2.0), [this] {
+    ev.At(SimTime(2.0), [this] {
       LAMINAR_TRACE_COUNTER(&sim_, TraceComponent::kData, "data/depth", -1, 4.0);
     });
-    sim_.ScheduleAt(SimTime(5.0), [this] {
+    ev.At(SimTime(5.0), [this] {
       LAMINAR_TRACE_SPAN(&sim_, TraceComponent::kReplica, "replica/busy", 0, SimTime(3.0));
     });
-    sim_.ScheduleAt(SimTime(6.0), [this] {
+    ev.At(SimTime(6.0), [this] {
       LAMINAR_TRACE_COUNTER(&sim_, TraceComponent::kData, "data/depth", -1, 10.0);
     });
-    sim_.ScheduleAt(SimTime(7.0), [this] {
+    ev.At(SimTime(7.0), [this] {
       LAMINAR_TRACE_SPAN(&sim_, TraceComponent::kReplica, "replica/busy", 1, SimTime(6.0));
     });
-    sim_.ScheduleAt(SimTime(8.0), [this] {
+    ev.At(SimTime(8.0), [this] {
       LAMINAR_TRACE_INSTANT(&sim_, TraceComponent::kTrainer, "trainer/publish", -1, 2);
     });
-    sim_.ScheduleAt(SimTime(9.0), [this] {
+    ev.At(SimTime(9.0), [this] {
       LAMINAR_TRACE_SPAN_AT(&sim_, TraceComponent::kTrainer, "trainer/train", -1,
                             SimTime(2.0), SimTime(9.0));
     });
