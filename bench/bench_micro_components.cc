@@ -1,10 +1,12 @@
 // Micro-benchmarks of the hot simulator/algorithm components
 // (google-benchmark): event queue, Best-Fit consolidation, broadcast math,
 // decode-latency model, policy update, trainer iteration, replica decode
-// advance, trajectory store checkpoint/complete.
+// advance, trajectory store checkpoint/complete, trace emission and LMTRACE1
+// encoding.
 #include <benchmark/benchmark.h>
 
 #include <span>
+#include <string>
 
 #include "src/common/rng.h"
 #include "src/data/experience_buffer.h"
@@ -17,6 +19,8 @@
 #include "src/repack/best_fit.h"
 #include "src/rollout/replica.h"
 #include "src/sim/simulator.h"
+#include "src/trace/trace.h"
+#include "src/trace/trace_io.h"
 #include "src/trainer/trainer.h"
 #include "tests/lambda_events.h"
 
@@ -255,6 +259,76 @@ void BM_StoreCheckpointComplete(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StoreCheckpointComplete)->Arg(1024)->Arg(65536);
+
+// Event names a traced chaos run emits; most are longer than the
+// 15-character small-string limit.
+constexpr const char* kTraceNames[] = {
+    "replica/traj_complete", "replica/decode_busy",   "replica/kv_used",
+    "replica/batch_size",    "manager/serving_admit", "manager/serving_reject",
+    "relay/arrival",         "relay/pull_wait",       "trainer/iteration",
+    "data/buffer_depth",     "fault/suspect_dead",    "invariant/check",
+};
+constexpr size_t kNumTraceNames = sizeof(kTraceNames) / sizeof(kTraceNames[0]);
+
+// One emission through the sink front-end: name interning plus the append.
+// A 64k-event ring keeps memory flat however many iterations run.
+void BM_TraceSinkEmit(benchmark::State& state) {
+  Simulator sim;
+  TraceConfig config;
+  config.enabled = true;
+  config.ring_capacity = size_t{1} << 16;
+  TraceSink sink(&sim, config);
+  size_t i = 0;
+  for (auto _ : state) {
+    const char* name = kTraceNames[i % kNumTraceNames];
+    switch (i % 3) {
+      case 0:
+        sink.Span(TraceComponent::kReplica, name, static_cast<int32_t>(i % 16), SimTime(0.0),
+                  SimTime(1.0), static_cast<int64_t>(i));
+        break;
+      case 1:
+        sink.Instant(TraceComponent::kManager, name, -1, static_cast<int64_t>(i));
+        break;
+      default:
+        sink.Counter(TraceComponent::kData, name, -1, static_cast<double>(i));
+        break;
+    }
+    ++i;
+  }
+  benchmark::DoNotOptimize(sink.buffer().total_emitted());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TraceSinkEmit);
+
+// LMTRACE1 encoding of a full-capture trace of state.range(0) events (120k
+// is the size a 30 s chaos_serving_16gpu run ends with).
+void BM_TraceToBinary(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  TraceBuffer buffer;
+  Rng rng(11);
+  for (int64_t i = 0; i < n; ++i) {
+    TraceEvent e;
+    e.time = 0.01 * static_cast<double>(i);
+    e.duration = rng.Uniform(0.0, 2.0);
+    e.arg = static_cast<int64_t>(rng.UniformInt(-1, 1 << 20));
+    e.value = rng.Uniform(0.0, 1.0);
+    e.name = buffer.InternName(kTraceNames[i % kNumTraceNames]);
+    e.entity = static_cast<int32_t>(rng.UniformInt(-1, 63));
+    e.component = static_cast<TraceComponent>(i % kNumTraceComponents);
+    e.kind = static_cast<TraceEventKind>(i % 3);
+    buffer.Add(e);
+  }
+  size_t bytes = 0;
+  for (auto _ : state) {
+    std::string out = TraceToBinary(buffer);
+    bytes = out.size();
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_TraceToBinary)->Arg(120000)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace laminar

@@ -43,7 +43,7 @@ void TraceBuffer::Add(const TraceEvent& event) {
   next_ = (next_ + 1) % ring_capacity_;
 }
 
-uint32_t TraceBuffer::InternName(const char* name) {
+uint32_t TraceBuffer::InternName(std::string_view name) {
   auto it = name_ids_.find(name);
   if (it != name_ids_.end()) {
     return it->second;
@@ -54,7 +54,7 @@ uint32_t TraceBuffer::InternName(const char* name) {
   return id;
 }
 
-bool TraceBuffer::FindName(const std::string& name, uint32_t* id) const {
+bool TraceBuffer::FindName(std::string_view name, uint32_t* id) const {
   auto it = name_ids_.find(name);
   if (it == name_ids_.end()) {
     return false;
@@ -63,14 +63,18 @@ bool TraceBuffer::FindName(const std::string& name, uint32_t* id) const {
   return true;
 }
 
+std::array<std::span<const TraceEvent>, 2> TraceBuffer::Runs() const {
+  // next_ stays 0 until the ring wraps, so this split covers every mode.
+  std::span<const TraceEvent> all(events_);
+  return {all.subspan(next_), all.first(next_)};
+}
+
 std::vector<TraceEvent> TraceBuffer::InOrder() const {
-  if (ring_capacity_ == 0 || events_.size() < ring_capacity_ || next_ == 0) {
-    return events_;
-  }
   std::vector<TraceEvent> out;
   out.reserve(events_.size());
-  out.insert(out.end(), events_.begin() + static_cast<ptrdiff_t>(next_), events_.end());
-  out.insert(out.end(), events_.begin(), events_.begin() + static_cast<ptrdiff_t>(next_));
+  for (std::span<const TraceEvent> run : Runs()) {
+    out.insert(out.end(), run.begin(), run.end());
+  }
   return out;
 }
 

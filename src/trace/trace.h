@@ -15,10 +15,14 @@
 #ifndef LAMINAR_SRC_TRACE_TRACE_H_
 #define LAMINAR_SRC_TRACE_TRACE_H_
 
+#include <array>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/sim/simulator.h"
@@ -60,7 +64,9 @@ struct TraceEvent {
   double end() const { return time + duration; }
 };
 
-// Event storage with first-use-order name interning. Two capture modes:
+// Event storage with first-use-order name interning. Interning is keyed on
+// the name's text (never its address, so names need not be literals) and
+// looks names up without building a std::string. Two capture modes:
 // unbounded full capture (ring_capacity == 0) or a fixed-size ring that
 // evicts the oldest events once full (long soaks where only the tail
 // matters).
@@ -69,7 +75,7 @@ class TraceBuffer {
   explicit TraceBuffer(size_t ring_capacity = 0);
 
   void Add(const TraceEvent& event);
-  uint32_t InternName(const char* name);
+  uint32_t InternName(std::string_view name);
   // Accounts for events evicted before this buffer existed — used by the
   // binary reader so a deserialized ring trace reports its original drop
   // count.
@@ -80,6 +86,10 @@ class TraceBuffer {
 
   // Events in emission order; in ring mode the evicted prefix is absent.
   std::vector<TraceEvent> InOrder() const;
+  // The same events read in place, as two runs to visit in order: a wrapped
+  // ring's oldest survivors [cursor, end) then its newest [0, cursor). Any
+  // other buffer is one run followed by an empty one.
+  std::array<std::span<const TraceEvent>, 2> Runs() const;
 
   size_t size() const { return events_.size(); }
   bool empty() const { return events_.empty(); }
@@ -90,7 +100,7 @@ class TraceBuffer {
   const std::vector<std::string>& names() const { return names_; }
   const std::string& name(uint32_t id) const { return names_[id]; }
   // Looks up an already-interned name; returns false if never emitted.
-  bool FindName(const std::string& name, uint32_t* id) const;
+  bool FindName(std::string_view name, uint32_t* id) const;
 
  private:
   size_t ring_capacity_;  // 0 = unbounded
@@ -98,7 +108,7 @@ class TraceBuffer {
   uint64_t emitted_ = 0;
   std::vector<TraceEvent> events_;
   std::vector<std::string> names_;
-  std::map<std::string, uint32_t> name_ids_;
+  std::map<std::string, uint32_t, std::less<>> name_ids_;
 };
 
 struct TraceConfig {

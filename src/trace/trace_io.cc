@@ -2,32 +2,39 @@
 
 #include <cstdio>
 #include <cstring>
+#include <span>
+
+#include "src/common/logging.h"
 
 namespace laminar {
 namespace {
 
-// All binary I/O is explicit little-endian byte shuffling so trace files are
-// portable and byte-stable regardless of compiler struct layout.
-void PutU32(std::string& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+// All binary I/O is field-by-field little-endian, so trace files are portable
+// and byte-stable regardless of compiler struct layout. Stores write at `p`
+// and return the next write position; they and the unaligned loads below
+// byte-swap on big-endian hosts, keeping the wire format identical there.
+char* StoreLe32(char* p, uint32_t v) {
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+  v = __builtin_bswap32(v);
+#endif
+  std::memcpy(p, &v, sizeof(v));
+  return p + sizeof(v);
 }
 
-void PutU64(std::string& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+char* StoreLe64(char* p, uint64_t v) {
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+  v = __builtin_bswap64(v);
+#endif
+  std::memcpy(p, &v, sizeof(v));
+  return p + sizeof(v);
 }
 
-void PutF64(std::string& out, double v) {
+char* StoreLeF64(char* p, double v) {
   uint64_t bits;
   std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
+  return StoreLe64(p, bits);
 }
 
-// Unaligned little-endian loads; the byte-swap branch keeps the wire format
-// identical on big-endian hosts.
 uint32_t LoadLe32(const char* p) {
   uint32_t v;
   std::memcpy(&v, p, sizeof(v));
@@ -77,6 +84,9 @@ struct Cursor {
 };
 
 constexpr char kMagic[8] = {'L', 'M', 'T', 'R', 'A', 'C', 'E', '1'};
+// One event on the wire: time, duration, arg, value, name, entity,
+// component, kind.
+constexpr size_t kEventWireBytes = 8 + 8 + 8 + 8 + 4 + 4 + 1 + 1;
 
 // Shortest-round-trip double formatting: %.17g always round-trips and the
 // format is locale-independent for the values the simulator produces.
@@ -163,27 +173,38 @@ std::string TraceToChromeJson(const TraceBuffer& buffer) {
 }
 
 std::string TraceToBinary(const TraceBuffer& buffer) {
-  std::string out;
-  out.append(kMagic, sizeof(kMagic));
+  // The size is known exactly up front, so the output is allocated once and
+  // every field is stored in place, reading the events where they live.
   const std::vector<std::string>& names = buffer.names();
-  PutU64(out, names.size());
+  size_t size = sizeof(kMagic) + 8 + 8 + 8 + buffer.size() * kEventWireBytes;
   for (const std::string& n : names) {
-    PutU32(out, static_cast<uint32_t>(n.size()));
-    out += n;
+    size += 4 + n.size();
   }
-  std::vector<TraceEvent> events = buffer.InOrder();
-  PutU64(out, events.size());
-  PutU64(out, buffer.dropped());
-  for (const TraceEvent& e : events) {
-    PutF64(out, e.time);
-    PutF64(out, e.duration);
-    PutU64(out, static_cast<uint64_t>(e.arg));
-    PutF64(out, e.value);
-    PutU32(out, e.name);
-    PutU32(out, static_cast<uint32_t>(e.entity));
-    out.push_back(static_cast<char>(e.component));
-    out.push_back(static_cast<char>(e.kind));
+  std::string out(size, '\0');
+  char* p = out.data();
+  std::memcpy(p, kMagic, sizeof(kMagic));
+  p += sizeof(kMagic);
+  p = StoreLe64(p, names.size());
+  for (const std::string& n : names) {
+    p = StoreLe32(p, static_cast<uint32_t>(n.size()));
+    std::memcpy(p, n.data(), n.size());
+    p += n.size();
   }
+  p = StoreLe64(p, buffer.size());
+  p = StoreLe64(p, buffer.dropped());
+  for (std::span<const TraceEvent> run : buffer.Runs()) {
+    for (const TraceEvent& e : run) {
+      p = StoreLeF64(p, e.time);
+      p = StoreLeF64(p, e.duration);
+      p = StoreLe64(p, static_cast<uint64_t>(e.arg));
+      p = StoreLeF64(p, e.value);
+      p = StoreLe32(p, e.name);
+      p = StoreLe32(p, static_cast<uint32_t>(e.entity));
+      *p++ = static_cast<char>(e.component);
+      *p++ = static_cast<char>(e.kind);
+    }
+  }
+  LAMINAR_CHECK(p == out.data() + out.size());
   return out;
 }
 
@@ -203,7 +224,10 @@ bool TraceFromBinary(std::string_view bytes, TraceBuffer* out) {
     if (!cur.U32(&len) || cur.pos + len > bytes.size()) {
       return false;
     }
-    out->InternName(std::string(bytes.substr(cur.pos, len)).c_str());
+    // A repeated name would leave later ids pointing past the name table.
+    if (out->InternName(bytes.substr(cur.pos, len)) != i) {
+      return false;
+    }
     cur.pos += len;
   }
   uint64_t num_events = 0;
@@ -216,7 +240,6 @@ bool TraceFromBinary(std::string_view bytes, TraceBuffer* out) {
   // event array, then each field is a direct unaligned load (the trace
   // section dominates direct-boot adopt time, so the per-field byte loops
   // and bounds checks were measurable).
-  constexpr size_t kEventWireBytes = 8 + 8 + 8 + 8 + 4 + 4 + 1 + 1;
   if (num_events > (bytes.size() - cur.pos) / kEventWireBytes) {
     return false;
   }

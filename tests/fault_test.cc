@@ -358,10 +358,12 @@ TEST(FaultProcessTest, SameSeedSameScheduleFieldForField) {
 
 TEST(FaultProcessTest, ScheduleSortedAndWithinWindow) {
   FaultProcessConfig pc = ChaosConfigForTest();
+  pc.crash_restart_per_hour = 1.0;
   FaultProcess proc(pc);
   std::vector<FaultEvent> schedule = proc.Generate(7);
   ASSERT_GT(schedule.size(), 20u);
   const double end = pc.start_seconds + pc.horizon_seconds;
+  int crash_restarts = 0;
   for (size_t i = 0; i < schedule.size(); ++i) {
     const FaultEvent& e = schedule[i];
     EXPECT_GE(e.at_seconds, pc.start_seconds);
@@ -399,6 +401,11 @@ TEST(FaultProcessTest, ScheduleSortedAndWithinWindow) {
       case FaultKind::kMasterRelay:
       case FaultKind::kTrainerWorker:
         break;
+      case FaultKind::kCrashRestart:
+        ++crash_restarts;
+        EXPECT_EQ(e.target, 0);
+        EXPECT_EQ(e.duration_seconds, pc.crash_restart_recovery_seconds);
+        break;
     }
     if (i > 0) {
       const FaultEvent& p = schedule[i - 1];
@@ -409,6 +416,7 @@ TEST(FaultProcessTest, ScheduleSortedAndWithinWindow) {
       EXPECT_TRUE(ordered) << "events " << i - 1 << " and " << i << " out of order";
     }
   }
+  EXPECT_GT(crash_restarts, 0);
 }
 
 TEST(FaultProcessTest, ClassStreamsAreIndependent) {

@@ -5,12 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/core/run.h"
 #include "src/exp/sweep.h"
 #include "src/sim/simulator.h"
+#include "src/snapshot/snapshot.h"
 #include "src/trace/query.h"
 #include "src/trace/trace.h"
 #include "src/trace/trace_io.h"
@@ -40,6 +42,16 @@ TEST(TraceBufferTest, InternsNamesInFirstUseOrder) {
   // Repeat interning returns the existing id.
   EXPECT_EQ(buffer.InternName("alpha"), a);
   EXPECT_EQ(buffer.names().size(), 2u);
+  // Interning is keyed on a name's text, not its address: the same name from
+  // a literal and from heap storage is one id, also past the 15-character
+  // small-string limit.
+  auto heap_alpha = std::make_unique<std::string>("alpha");
+  EXPECT_EQ(buffer.InternName(heap_alpha->c_str()), a);
+  uint32_t long_id = buffer.InternName("replica/traj_complete");
+  EXPECT_EQ(long_id, 2u);
+  std::string heap_long = std::string("replica/") + "traj_complete";
+  EXPECT_EQ(buffer.InternName(heap_long.c_str()), long_id);
+  EXPECT_EQ(buffer.names().size(), 3u);
   EXPECT_EQ(buffer.name(a), "alpha");
   uint32_t found = 99;
   EXPECT_TRUE(buffer.FindName("beta", &found));
@@ -245,6 +257,49 @@ TEST(TraceIoTest, BinaryRoundTripPreservesRingDropCount) {
   EXPECT_EQ(restored.total_emitted(), ring.total_emitted());
 }
 
+uint64_t Fnv1a(const std::string& bytes) { return SnapshotFnv1a(bytes.data(), bytes.size()); }
+
+// A fixed script of `count` events: all three kinds, every component,
+// negative entities and args, and names past the small-string limit.
+void AddPinnedEvents(TraceBuffer* buffer, int count) {
+  const char* names[] = {"replica/traj_complete", "x", "manager/serving_admit_reject",
+                         "trainer/iteration"};
+  for (int i = 0; i < count; ++i) {
+    TraceEvent e;
+    e.kind = static_cast<TraceEventKind>(i % 3);
+    e.time = 0.1 * i + 1.0 / 3.0;
+    e.duration = e.kind == TraceEventKind::kSpan ? 0.25 * (i % 5) + 1e-9 : 0.0;
+    e.arg = i % 2 == 0 ? -(int64_t{1} << 40) - i : 7 * i;
+    e.value = -1.5 * i + 1e-3;
+    e.name = buffer->InternName(names[i % 4]);
+    e.entity = i % 3 == 0 ? -1 : (i % 7) - 3;
+    e.component = static_cast<TraceComponent>(i % kNumTraceComponents);
+    buffer->Add(e);
+  }
+}
+
+// The LMTRACE1 bytes are pinned by hash: any change to field order, byte
+// order, the name table or the ring's oldest-first order fails here.
+TEST(TraceIoTest, BinaryBytesArePinned) {
+  TraceBuffer full;
+  AddPinnedEvents(&full, 40);
+  std::string bytes = TraceToBinary(full);
+  // Magic, name count, names (length-prefixed), event count, drop count,
+  // then one fixed 42-byte record per event.
+  EXPECT_EQ(bytes.size(), 8u + 8u + (4 + 21) + (4 + 1) + (4 + 28) + (4 + 17) + 8u + 8u +
+                              40u * 42u);
+  EXPECT_EQ(Fnv1a(bytes), 0xb9da694349e1eab0ull);
+
+  // A wrapped ring: 40 events through 16 slots leave the write cursor mid-
+  // array, so the oldest survivors sit at the back.
+  TraceBuffer ring(16);
+  AddPinnedEvents(&ring, 40);
+  ASSERT_EQ(ring.dropped(), 24u);
+  EXPECT_EQ(Fnv1a(TraceToBinary(ring)), 0x9316cf8f8ef5881bull);
+
+  EXPECT_EQ(Fnv1a(TraceToBinary(TraceBuffer())), 0xa65a6fe5637964d8ull);
+}
+
 TEST(TraceIoTest, RejectsMalformedBinary) {
   TraceBuffer out;
   EXPECT_FALSE(TraceFromBinary("", &out));
@@ -258,6 +313,18 @@ TEST(TraceIoTest, RejectsMalformedBinary) {
   std::string bad_magic = good;
   bad_magic[0] = 'X';
   EXPECT_FALSE(TraceFromBinary(bad_magic, &out));
+  // A repeated name in the table: the ids after it would index past it.
+  TraceBuffer two_names;
+  TraceEvent e;
+  e.name = two_names.InternName("a");
+  two_names.Add(e);
+  e.name = two_names.InternName("b");
+  two_names.Add(e);
+  std::string repeated = TraceToBinary(two_names);
+  size_t second_name = repeated.find('b', sizeof(uint64_t) * 2);
+  ASSERT_NE(second_name, std::string::npos);
+  repeated[second_name] = 'a';
+  EXPECT_FALSE(TraceFromBinary(repeated, &out));
 }
 
 TEST(TraceIoTest, ChromeJsonHasOneRecordPerEventPlusMetadata) {
@@ -493,6 +560,17 @@ TEST(TraceDeterminismTest, SameSeedSameBytes) {
   // A different seed must not produce the same trace (the check has teeth).
   cfg.seed = 99;
   EXPECT_NE(TraceToBinary(*RunExperiment(cfg).trace), TraceToBinary(*a.trace));
+}
+
+// One small traced Laminar run, pinned by hash like the fixed buffer above.
+// A declared change to simulated behaviour updates these two constants, as
+// it regenerates tests/corpus/fingerprints.golden.
+TEST(TraceDeterminismTest, LaminarRunTraceBytesArePinned) {
+  SystemReport report = RunExperiment(TracedConfig(SystemKind::kLaminar));
+  ASSERT_NE(report.trace, nullptr);
+  std::string bytes = TraceToBinary(*report.trace);
+  EXPECT_EQ(bytes.size(), 505683u);
+  EXPECT_EQ(Fnv1a(bytes), 0xf8427aae2e43e324ull);
 }
 
 TEST(TraceDeterminismTest, IdenticalBytesAcrossSweepThreadCounts) {
